@@ -467,26 +467,27 @@ def check_outputs(workload, inp: Inputs, out_dirs: dict[str, str]) -> None:
         if cmd.name not in out_dirs:
             continue
         out = out_dirs[cmd.name]
-        path = os.path.join(out, f"{cmd.name}.csv")
-        if cmd.name == "torque":
+        path = os.path.join(out, f"{cmd.subcommand}.csv")
+        kind = cmd.subcommand
+        if kind == "torque":
             torque_table = check_torque(path, inp, workload.torque_recount)
-        elif cmd.name == "metrics":
+        elif kind == "metrics":
             check_metrics(path, inp)
-        elif cmd.name == "exposure":
+        elif kind == "exposure":
             ks = [int(k) for k in option(cmd.argv, "--k").split(",")]
             check_exposure(path, inp, option(cmd.argv, "--topic"), ks,
                            option(cmd.argv, "--mode", "secondary"),
                            workload.exposure_focal, workload.exposure_village_stride)
-        elif cmd.name == "fit":
+        elif kind == "fit":
             fit_result, fit_argv = check_fit(out), cmd.argv
-        elif cmd.name == "reduce":
+        elif kind == "reduce":
             same = ("--topic", "--layer", "--k", "--mode", "--direction")
             _require(fit_result is not None
                      and all(option(fit_argv, f) == option(cmd.argv, f) for f in same),
                      "reduce: no fit of the same model to check against")
             check_reduce(path, fit_result, option(cmd.argv, "--layer"))
-        elif cmd.name == "screen":
+        elif kind == "screen":
             check_screen(path, inp.topics)
-        elif cmd.name == "experiment":
+        elif kind == "experiment":
             _require(torque_table is not None, "experiment: no torque output to check against")
             check_experiment(path, torque_table, inp)

@@ -4,7 +4,7 @@
 
 For each seed, runs run.py with --trace 0 and --trace 1 back to back (the
 order alternates between seeds) and prints, per command, the untraced wall
-time (median over rounds) against cli.import_s plus the wall time of the
+time (the median of its samples in the run) against cli.import_s plus the wall time of the
 command's top-level spans. The two totals are reached independently: one
 from outside the process, one summed from spans inside it. The last table
 gives the median ratio per command over the seeds.
@@ -37,7 +37,10 @@ def ratios(untraced, traced) -> dict[str, tuple[float, float]]:
     import_s = traced["metrics"]["cli.import_s"]["value"]
     walls = {"simulate": untraced["simulate"]["wall_s"]}
     for name in untraced["rounds"][0]:
-        walls[name] = statistics.median(r[name]["wall_s"] for r in untraced["rounds"])
+        # the replay runs each command once, so its counterpart is a typical
+        # single untraced run: the median sample, not the best one
+        walls[name] = statistics.median(rec["wall_s"] for r in untraced["rounds"]
+                                        for rec in r[name])
     return {name: (wall, import_s + traced["command_spans_s"][name])
             for name, wall in walls.items()}
 

@@ -1,29 +1,37 @@
 """Traced in-process replay of a workload's commands.
 
-Each CLI command is repeated in this process through torquenet's public
-functions, in the order the CLI calls them, and the same tables are
-rendered and written, so the checks in checks.py apply to the replay's
-outputs too. Every call into the library runs inside a span that records
-wall time (perf_counter), CPU time (process_time) and peak RSS, keyed by
-village and network layer where the work runs per layer. The spans live in
-memory and go to the run record when the run ends.
+Each command runs again in this process through ``torquenet.cli.main``, the
+entry point of ``python -m torquenet.cli``, with the same arguments plus
+``--threads 1``. Before the first command the library functions the CLI
+reaches (HOOKS) are wrapped in place: a function is replaced in every
+torquenet module that binds it, a method on its class. A wrapped call runs
+inside a span that records wall time (perf_counter), CPU time
+(process_time) and peak RSS, keyed by village and network layer where its
+arguments name them. A call made while a span of the same name is open adds
+no span of its own. So the spans time the program's own code wherever it
+runs: the kernels inside ``end_to_end_experiment`` and the Newton fit of
+every bootstrap replicate count as well.
 
-The replay is single-threaded even where the CLI runs with --threads 2, so
-that span times add up to the command's time.
+A command's total is the wall time of its ``cli.main`` span. The replay is
+single-threaded even where the CLI runs with --threads 2, so that a
+command's spans add up within its total. A hook whose target the program no
+longer has is skipped and named in the run record; its metric then reads 0.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import importlib
 import os
 import resource
 import statistics
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
+import traceback
 from dataclasses import dataclass
-
-from workloads import fill, option
+from typing import Callable
 
 # The canonical layer registry; per-layer metric names stay fixed even where
 # a workload's scenario drops layers.
@@ -31,7 +39,8 @@ LAYERS = ("parent", "sibling", "partner", "patron", "personal_private",
           "free_time", "closest_friend", "borrow_money", "lend_money",
           "health_advice_give", "health_advice_get")
 
-# per-layer metric -> unit; a metric named "<span>_s" sums that span's wall time
+# per-layer metric -> unit; a metric named "<span>_s" sums that span's wall
+# time, "<span>.<layer>_s" that span's wall time on one network layer
 PER_LAYER = {
     "cli.import_s": "s",
     "cli.import_scipy_stats_s": "s",
@@ -63,12 +72,6 @@ PER_LAYER = {
     "contagion.screen_s": "s",
 }
 
-# metrics that sum more than one span name
-SPAN_GROUPS = {
-    "graph.derived_graphs_s": ("graph.composite", "graph.composite_minus_layer"),
-    "io.load_dataset_s": ("io.load_dataset", "io.load_edges"),
-}
-
 
 class Tracer:
     """Nested spans with wall time, CPU time and peak RSS; plus counters."""
@@ -77,14 +80,18 @@ class Tracer:
         self.spans: list[dict] = []
         self.counts: dict[str, int] = {}
         self.command: str | None = None
+        # id(network) -> village, for the networks of the current command
+        self.villages: dict[int, str] = {}
         self._stack: list[int] = []
+        self._open: set[str] = set()
 
-    @contextmanager
+    @contextlib.contextmanager
     def span(self, name: str, village: str | None = None, layer: str | None = None):
         rec = {"name": name, "command": self.command, "village": village,
                "layer": layer, "parent": self._stack[-1] if self._stack else None}
         self.spans.append(rec)
         self._stack.append(len(self.spans) - 1)
+        self._open.add(name)
         wall0, cpu0 = time.perf_counter(), time.process_time()
         try:
             yield
@@ -92,10 +99,31 @@ class Tracer:
             rec["wall_s"] = time.perf_counter() - wall0
             rec["cpu_s"] = time.process_time() - cpu0
             rec["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+            self._open.discard(name)
             self._stack.pop()
 
     def count(self, name: str, n: int) -> None:
         self.counts[name] = self.counts.get(name, 0) + int(n)
+
+    def register(self, networks) -> None:
+        self.villages.update({id(net): village for village, net in networks.items()})
+
+    def village(self, net) -> str | None:
+        return self.villages.get(id(net))
+
+    def wrap(self, fn, hook: "Hook"):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            if hook.span in self._open:
+                result = fn(*args, **kwargs)
+            else:
+                village, layer = hook.key(self, args, kwargs) if hook.key else (None, None)
+                with self.span(hook.span, village, layer):
+                    result = fn(*args, **kwargs)
+            if hook.after:
+                hook.after(self, args, kwargs, result)
+            return result
+        return wrapper
 
     def command_totals(self) -> dict[str, float]:
         """Wall time of each command's top-level spans, summed."""
@@ -113,442 +141,202 @@ class Tracer:
                 keys.append(f"{s['name']}.{s['layer']}_s")
             for k in keys:
                 walls[k] = walls.get(k, 0.0) + s["wall_s"]
-        for metric, names in SPAN_GROUPS.items():
-            walls[metric] = sum(walls.get(f"{n}_s", 0.0) for n in names)
+        # a layer's own exposure work: its layer-excluded depth matrix
+        for l in LAYERS:
+            walls[f"pathways.layer.{l}_s"] = walls.get(f"pathways.depths.{l}_s", 0.0)
         walls.update(self.counts)
         return {name: walls.get(name, 0) for name in PER_LAYER}
+
+
+# -- hooks -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Hook:
+    target: str  # "module:function" or "module:Class.method"
+    span: str
+    # (tracer, args, kwargs) -> (village, layer name)
+    key: Callable | None = None
+    # (tracer, args, kwargs, result) -> None; runs for every call
+    after: Callable | None = None
+
+
+def _net(tr, args, kwargs):
+    """First argument (or self) is a MultiplexNetwork."""
+    return tr.village(args[0]), None
+
+
+def _net_layer(tr, args, kwargs):
+    """(net, layer id, ...), for functions and MultiplexNetwork methods."""
+    net = args[0]
+    return tr.village(net), net.registry.name_of(args[1])
+
+
+def _analyzer_init(tr, args, kwargs):
+    return tr.village(args[1] if len(args) > 1 else kwargs["net"]), None
+
+
+def _analyzer_depths(tr, args, kwargs):
+    analyzer = args[0]
+    layer = args[2] if len(args) > 2 else kwargs.get("excluded_layer")
+    return (tr.village(analyzer.net),
+            None if layer is None else analyzer.net.registry.name_of(layer))
+
+
+def _reduction_layer(tr, args, kwargs):
+    return None, args[1] if len(args) > 1 else kwargs["layer"]
+
+
+def _count_bytes(tr, args, kwargs, result):
+    text = args[1] if len(args) > 1 else kwargs["text"]
+    tr.count("io.output_bytes", len(text.encode("utf-8")))
+
+
+def _count_pairs(tr, args, kwargs, result):
+    n = args[0].n
+    tr.count("torque.pair_evaluations", n * (n - 1) // 2)
+
+
+def _count_records(tr, args, kwargs, result):
+    tr.count("pathways.records", sum(len(records) for _, records in result))
+
+
+def _count_newton(tr, args, kwargs, result):
+    tr.count("contagion.newton_iterations", result[3])
+    tr.count("contagion.design_cells", args[0].size)
+
+
+def _count_bootstrap(tr, args, kwargs, result):
+    tr.count("contagion.bootstrap_reps", result.n_boot)
+    tr.count("contagion.bootstrap_failed_reps", result.n_failed)
+
+
+HOOKS = (
+    Hook("torquenet.io:parse_scenario", "io.parse_scenario"),
+    Hook("torquenet.io:load_dataset", "io.load_dataset",
+         after=lambda tr, a, k, r: tr.register(r[0].networks)),
+    Hook("torquenet.io:load_edges", "io.load_dataset",
+         after=lambda tr, a, k, r: tr.register(r.networks)),
+    Hook("torquenet.io:write_edges_csv", "io.write_dataset"),
+    Hook("torquenet.io:write_attributes_csv", "io.write_dataset"),
+    Hook("torquenet.cli:_emit", "io.render"),
+    Hook("torquenet.io:exposure_rows", "io.render"),
+    Hook("torquenet.io:render_csv", "io.render"),
+    Hook("torquenet.io:render_json", "io.render"),
+    Hook("torquenet.io:atomic_write_text", "io.render", after=_count_bytes),
+    Hook("torquenet.simulate:build_villages", "simulate.build_villages",
+         after=lambda tr, a, k, r: tr.register(r[0])),
+    Hook("torquenet.simulate:end_to_end_experiment", "simulate.experiment"),
+    Hook("torquenet.graph:MultiplexNetwork.composite", "graph.derived_graphs", _net),
+    Hook("torquenet.graph:MultiplexNetwork.composite_minus_layer", "graph.derived_graphs",
+         _net_layer),
+    Hook("torquenet.torque:torque_all_layers", "torque.all_layers", _net),
+    Hook("torquenet.torque:_layer_counts", "torque.layer", _net_layer, _count_pairs),
+    Hook("torquenet.metrics:edge_betweenness", "metrics.edge_betweenness"),
+    Hook("torquenet.metrics:layer_stats", "metrics.layer_stats", _net_layer),
+    Hook("torquenet.pathways:PathwayAnalyzer.__init__", "pathways.analyzer_init",
+         _analyzer_init),
+    Hook("torquenet.pathways:PathwayAnalyzer.depths", "pathways.depths", _analyzer_depths),
+    Hook("torquenet.pathways:exposure_table", "pathways.exposure_table", _net,
+         _count_records),
+    Hook("torquenet.pathways:total_exposure", "pathways.total_exposure", _net),
+    Hook("torquenet.pathways:k_alter_counts", "pathways.k_alter_counts", _net),
+    Hook("torquenet.contagion:build_frame", "contagion.build_frame"),
+    Hook("torquenet.contagion:fit_frame", "contagion.fit_frame"),
+    Hook("torquenet.contagion:check_collinearity", "contagion.check_collinearity"),
+    Hook("torquenet.contagion:newton_logit", "contagion.newton_logit",
+         after=_count_newton),
+    Hook("torquenet.contagion:counterfactual_reduction", "contagion.bootstrap",
+         _reduction_layer, _count_bootstrap),
+    Hook("torquenet.contagion:contagion_screen", "contagion.screen"),
+)
+
+
+def install(tr: Tracer):
+    """Wrap every hook's target in place; (undo list, targets not found)."""
+    modules = [m for name, m in sorted(sys.modules.items())
+               if m is not None and (name == "torquenet" or name.startswith("torquenet."))]
+    undo, missing = [], []
+    for hook in HOOKS:
+        module_name, _, path = hook.target.partition(":")
+        owner = importlib.import_module(module_name)
+        *classes, attr = path.split(".")
+        for name in classes:
+            owner = getattr(owner, name, None)
+        original = getattr(owner, attr, None) if owner is not None else None
+        if original is None:
+            missing.append(hook.target)
+            continue
+        wrapper = tr.wrap(original, hook)
+        for place in [owner] if classes else modules:
+            for name, value in list(vars(place).items()):
+                if value is original:
+                    setattr(place, name, wrapper)
+                    undo.append((place, name, original))
+    return undo, missing
+
+
+def uninstall(undo) -> None:
+    for place, name, original in reversed(undo):
+        setattr(place, name, original)
 
 
 @dataclass
 class ReplayResult:
     commands: dict[str, float]
-    out_dirs: dict[str, str]
+    returncodes: dict[str, int]
     spans: list[dict]
     metrics: dict[str, dict]
+    missing_hooks: list[str]
 
 
-def import_seconds(module: str, env: dict, repeats: int = 3) -> float:
-    """Median wall time of a fresh interpreter that imports module and exits,
-    timed from outside: start-up and teardown are part of every CLI call."""
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        subprocess.run([sys.executable, "-c", f"import {module}"], env=env, check=True)
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+def import_seconds(module: str, env: dict) -> float:
+    """Wall time of a fresh interpreter that imports module and exits, timed
+    from outside: start-up and teardown are part of every CLI call."""
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-c", f"import {module}"], env=env, check=True)
+    return time.perf_counter() - start
 
 
-# -- the replay ------------------------------------------------------
-
-
-class Replay:
-    """Mirrors torquenet.cli command by command, with a span per library call."""
-
-    def __init__(self, tr: Tracer, seed: int, data_dir: str):
-        import numpy as np
-
-        import torquenet
-        from torquenet import io as tio
-
-        self.np, self.tn, self.tio = np, torquenet, tio
-        self.tr = tr
-        self.seed = seed
-        self.edges = os.path.join(data_dir, "edges.csv")
-        self.attrs = os.path.join(data_dir, "attributes.csv")
-        self.stdout = open(os.devnull, "w", encoding="utf-8")
-
-    def close(self):
-        self.stdout.close()
-
-    def emit(self, fmt, out_dir, name, header, rows, payload):
-        """As cli._emit: render, write atomically, print."""
-        tio = self.tio
-        text = tio.render_csv(header, rows) if fmt == "csv" else tio.render_json(payload)
-        tio.atomic_write_text(os.path.join(out_dir, f"{name}.{fmt}"), text)
-        self.stdout.write(text)
-        self.tr.count("io.output_bytes", len(text.encode("utf-8")))
-
-    def load_dataset(self):
-        with self.tr.span("io.load_dataset"):
-            return self.tio.load_dataset(self.edges, self.attrs)
-
-    def village_exposure(self, village, net, panel, topic, layer_ids, ks, mode,
-                         direction, analyzer=None):
-        """Analyzer, shared depths, then per layer: its depths and its table."""
-        tn, tr = self.tn, self.tr
-        registry = net.registry
-        if analyzer is None:
-            with tr.span("pathways.analyzer_init", village):
-                analyzer = tn.PathwayAnalyzer(net, validated=panel.validated(topic))
-        with tr.span("pathways.depths", village):
-            analyzer.depths(direction)
-            if mode is tn.Mode.PRIMARY:
-                analyzer.depths(direction, validated_interior=True)
-        tables = []
-        for l in layer_ids:
-            lname = registry.name_of(l)
-            with tr.span("pathways.layer", village, lname):
-                with tr.span("pathways.depths", village, lname):
-                    analyzer.depths(direction, excluded_layer=l)
-                cfgs = [tn.PathwayConfig(layer=l, k=k, mode=mode, direction=direction)
-                        for k in ks]
-                with tr.span("pathways.exposure_table", village, lname):
-                    tables.extend(tn.exposure_table(net, panel, cfgs, topic,
-                                                    analyzer=analyzer))
-        tr.count("pathways.records", sum(len(r) for _, r in tables))
-        return tables
-
-    def fit_frame(self, frame, topic):
-        """contagion.fit_frame, one span per step."""
-        np, tn, tr = self.np, self.tn, self.tr
-        y = frame.y
-        if not ((y == 0).any() and (y == 1).any()):
-            raise tn.DataError("outcome has a single class; nothing to fit")
-        with tr.span("contagion.check_collinearity"):
-            tn.check_collinearity(frame.X, frame.columns)
-        with tr.span("contagion.newton_logit"):
-            beta, cov, ll, it, gmax = tn.newton_logit(frame.X, y, columns=frame.columns)
-        tr.count("contagion.newton_iterations", it)
-        tr.count("contagion.design_cells", frame.X.size)
-        pbar = float(y.mean())
-        null_ll = float(len(y) * (pbar * np.log(pbar) + (1 - pbar) * np.log1p(-pbar)))
-        return tn.ContagionModel(topic=topic, columns=frame.columns, beta=beta, cov=cov,
-                                 loglik=ll, null_loglik=null_ll, iterations=it,
-                                 grad_max=gmax, frame=frame)
-
-    def layer_model(self, data, panels, topic, layer_id, k, mode, direction):
-        """cli._layer_exposure_columns, build_frame and fit_frame."""
-        np, tr = self.np, self.tr
-        cols = {"xi_layer": {}, "xi_rest": {}, "k_alters": {}}
-        for village in sorted(data.networks):
-            (_, records), = self.village_exposure(
-                village, data.networks[village], panels[village], topic, [layer_id],
-                [k], mode, direction)
-            with tr.span("cli.exposure_columns", village):
-                cols["xi_layer"][village] = np.array([r.xi_layer for r in records], float)
-                cols["xi_rest"][village] = np.array([r.xi_rest for r in records], float)
-                cols["k_alters"][village] = np.array([r.k_alters for r in records], float)
-        with tr.span("contagion.build_frame"):
-            frame = self.tn.build_frame(panels, topic, cols)
-        return frame, self.fit_frame(frame, topic)
-
-    # -- commands ----------------------------------------------------
-
-    def simulate(self, argv, out_dir, threads):
-        tn, tio, tr = self.tn, self.tio, self.tr
-        with tr.span("io.parse_scenario"):
-            config = tio.parse_scenario(option(argv, "--config"))
-        with tr.span("simulate.build_villages"):
-            nets, panels = tn.build_villages(config, self.seed, threads)
-        with tr.span("io.write_dataset"):
-            node_ids = {v: panels[v].nodes for v in panels}
-            tio.write_edges_csv(os.path.join(out_dir, "edges.csv"), nets, node_ids)
-            tio.write_attributes_csv(os.path.join(out_dir, "attributes.csv"), panels)
-        with tr.span("io.render"):
-            np = self.np
-            rows, payload = [], []
-            for village in sorted(panels):
-                panel = panels[village]
-                hh = len(np.unique(panel.household))
-                for topic in panel.topics:
-                    treated = int(panel.intervened(topic).sum())
-                    know = int(np.nansum(np.asarray(panel.k_w3[topic])))
-                    rows.append([village, str(panel.n), str(hh), topic, str(treated),
-                                 str(know)])
-                    payload.append({"village": village, "n": panel.n, "households": hh,
-                                    "topic": topic, "treated": treated,
-                                    "knowledgeable_w3": know})
-            self.emit("csv", out_dir, "simulate",
-                      ["village", "n", "households", "topic", "treated",
-                       "knowledgeable_w3"], rows,
-                      {"command": "simulate", "seed": self.seed, "rows": payload})
-
-    def metrics(self, argv, out_dir):
-        tn, tio, tr = self.tn, self.tio, self.tr
-        with tr.span("io.load_edges"):
-            data = tio.load_edges(self.edges)
-        stats = {}
-        for village in sorted(data.networks):
-            net = data.networks[village]
-            with tr.span("graph.composite", village):
-                g = net.composite()
-            with tr.span("metrics.edge_betweenness", village):
-                scores = tn.edge_betweenness(g)
-            stats[village] = []
-            for l in range(len(net.registry)):
-                with tr.span("metrics.layer_stats", village, net.registry.name_of(l)):
-                    stats[village].append(tn.layer_stats(net, l, scores))
-        with tr.span("io.render"):
-            f = tio.fmt_fraction
-            rows, payload = [], []
-            for village, vstats in stats.items():
-                for st in vstats:
-                    rows.append([village, st.layer, f(st.prevalence), f(st.clustering),
-                                 f(st.reachability), f(st.monoplexity),
-                                 f(st.mean_edge_betweenness), str(st.dyads),
-                                 str(st.nominations)])
-                    payload.append({
-                        "village": village, "layer": st.layer,
-                        "prevalence": st.prevalence, "clustering": st.clustering,
-                        "reachability": st.reachability, "monoplexity": st.monoplexity,
-                        "mean_edge_betweenness": st.mean_edge_betweenness,
-                        "dyads": st.dyads, "nominations": st.nominations})
-            self.emit(option(argv, "--format", "csv"), out_dir, "metrics",
-                      ["village", "layer", "prevalence", "clustering", "reachability",
-                       "monoplexity", "mean_edge_betweenness", "dyads", "nominations"],
-                      rows, {"command": "metrics", "rows": payload})
-
-    def torque(self, argv, out_dir):
-        np, tn, tio, tr = self.np, self.tn, self.tio, self.tr
-        with tr.span("io.load_edges"):
-            data = tio.load_edges(self.edges)
-        reports = {}
-        for village in sorted(data.networks):
-            net = data.networks[village]
-            with tr.span("torque.all_layers", village):
-                with tr.span("graph.composite", village):
-                    g = net.composite()
-                with tr.span("torque.base_distances", village):
-                    iu = np.triu_indices(net.n, k=1)
-                    base = tn.all_pairs_distances(g)[iu]
-                    connected = base != tn.INFINITE
-                    n_connected = int(np.count_nonzero(connected))
-                crit = []
-                for l in range(len(net.registry)):
-                    with tr.span("torque.layer", village, net.registry.name_of(l)):
-                        with tr.span("graph.composite_minus_layer", village,
-                                     net.registry.name_of(l)):
-                            h = net.composite_minus_layer(l)
-                        removed = tn.all_pairs_distances(h)[iu]
-                        crit.append(int(np.count_nonzero(connected & (removed > base))))
-            tr.count("torque.pair_evaluations", len(base) * len(net.registry))
-            reports[village] = (net.registry.names, crit, n_connected)
-        with tr.span("io.render"):
-            rows, payload = [], []
-            for village, (layers, crit, conn) in reports.items():
-                for layer, c in zip(layers, crit):
-                    rows.append([village, layer, tio.fmt_fraction(c / conn), str(c),
-                                 str(conn)])
-                    payload.append({"village": village, "layer": layer,
-                                    "torque": c / conn, "critical_pairs": c,
-                                    "connected_pairs": conn})
-            self.emit(option(argv, "--format", "csv"), out_dir, "torque",
-                      ["village", "layer", "torque", "critical_pairs", "connected_pairs"],
-                      rows, {"command": "torque", "rows": payload})
-
-    def exposure(self, argv, out_dir):
-        tn, tio = self.tn, self.tio
-        data, panels = self.load_dataset()
-        topic = option(argv, "--topic")
-        ks = [int(k) for k in option(argv, "--k", "2").split(",")]
-        mode = tn.Mode(option(argv, "--mode", "secondary"))
-        direction = tn.Direction(option(argv, "--direction", "directed"))
-        tables = {}
-        for village in sorted(data.networks):
-            net = data.networks[village]
-            tables[village] = self.village_exposure(
-                village, net, panels[village], topic, range(len(net.registry)), ks,
-                mode, direction)
-        with self.tr.span("io.render"):
-            rows, payload = [], []
-            registry = data.registry
-            for village, vtables in tables.items():
-                names = data.node_ids[village]
-                for cfg, records in vtables:
-                    lname = registry.name_of(cfg.layer)
-                    rows.extend(tio.exposure_rows(village, names, lname, cfg.k, cfg.mode,
-                                                  cfg.direction, records))
-                    payload.extend({
-                        "village": village, "node": names[r.node], "layer": lname,
-                        "k": cfg.k, "mode": cfg.mode.value,
-                        "direction": cfg.direction.value, "xi_L": r.xi_layer,
-                        "xi_notL": r.xi_rest, "N_k": r.k_alters} for r in records)
-            self.emit(option(argv, "--format", "csv"), out_dir, "exposure",
-                      tio.EXPOSURE_HEADER, rows,
-                      {"command": "exposure", "topic": topic, "rows": payload})
-
-    def screen(self, argv, out_dir):
-        tn, tio, tr = self.tn, self.tio, self.tr
-        data, panels = self.load_dataset()
-        ks = [int(k) for k in option(argv, "--k", "2,3,4").split(",")]
-        direction = tn.Direction(option(argv, "--direction", "directed"))
-        alpha = float(option(argv, "--alpha", "0.05"))
-        topics = sorted({t for p in panels.values() for t in p.topics})
-        expo_by_tk = {(t, k): {} for t in topics for k in ks}
-        n_by_k = {k: {} for k in ks}
-        for village in sorted(data.networks):
-            net, panel = data.networks[village], panels[village]
-            for topic in topics:
-                with tr.span("pathways.analyzer_init", village):
-                    analyzer = tn.PathwayAnalyzer(net, validated=panel.validated(topic))
-                with tr.span("pathways.depths", village):
-                    analyzer.depths(direction)
-                with tr.span("pathways.total_exposure", village):
-                    for k in ks:
-                        expo_by_tk[(topic, k)][village] = tn.total_exposure(
-                            net, panel, k, topic, direction,
-                            analyzer=analyzer).astype(float)
-                        n_by_k[k][village] = tn.k_alter_counts(
-                            net, k, direction, analyzer=analyzer).astype(float)
-        with tr.span("contagion.screen"):
-            result = tn.contagion_screen(panels, expo_by_tk, n_by_k, topics, ks, alpha)
-        with tr.span("io.render"):
-            f = tio.fmt_fraction
-            rows, payload = [], []
-            for r in result.rows:
-                passes = result.passes(r.topic)
-                rows.append([r.topic, str(r.k), f(r.coefficient), f(r.std_error), f(r.z),
-                             f(r.p_value), str(r.n_obs), str(int(passes))])
-                payload.append({"topic": r.topic, "k": r.k, "coefficient": r.coefficient,
-                                "std_error": r.std_error, "z": r.z, "p_value": r.p_value,
-                                "n_obs": r.n_obs, "topic_passes": passes})
-            self.emit(option(argv, "--format", "csv"), out_dir, "screen",
-                      ["topic", "k", "coefficient", "std_error", "z", "p_value", "n_obs",
-                       "topic_passes"], rows,
-                      {"command": "screen", "alpha": alpha, "rows": payload})
-
-    def fit(self, argv, out_dir):
-        tn, tio = self.tn, self.tio
-        data, panels = self.load_dataset()
-        topic, layer = option(argv, "--topic"), option(argv, "--layer")
-        k = int(option(argv, "--k", "2"))
-        mode = tn.Mode(option(argv, "--mode", "secondary"))
-        direction = tn.Direction(option(argv, "--direction", "directed"))
-        frame, model = self.layer_model(data, panels, topic, data.registry.id_of(layer),
-                                        k, mode, direction)
-        with self.tr.span("io.render"):
-            design = option(argv, "--dump-design")
-            if design:
-                design_rows = [[village, panels[village].nodes[node], tio.fmt_value(y)]
-                               + [tio.fmt_value(v) for v in xrow]
-                               for (village, node), y, xrow in zip(frame.rows, frame.y,
-                                                                   frame.X)]
-                tio.atomic_write_text(design, tio.render_csv(
-                    ["village", "node", "y"] + list(frame.columns), design_rows))
-            f = tio.fmt_fraction
-            rows, terms = [], []
-            for name in frame.columns:
-                z, p = model.wald(name)
-                j = frame.columns.index(name)
-                rows.append([name, f(model.beta[j]), f(model.se[j]), f(z), f(p)])
-                terms.append({"term": name, "coefficient": float(model.beta[j]),
-                              "std_error": float(model.se[j]), "z": z, "p_value": p})
-            self.emit(option(argv, "--format", "csv"), out_dir, "fit",
-                      ["term", "coefficient", "std_error", "z", "p_value"], rows, {
-                          "command": "fit", "topic": topic, "layer": layer, "k": k,
-                          "mode": mode.value, "direction": direction.value,
-                          "loglik": model.loglik, "null_loglik": model.null_loglik,
-                          "iterations": model.iterations, "grad_max": model.grad_max,
-                          "n_obs": frame.n, "n_dropped": frame.n_dropped,
-                          "terms": terms})
-
-    def reduce(self, argv, out_dir):
-        tn, tio, tr = self.tn, self.tio, self.tr
-        data, panels = self.load_dataset()
-        topic, k = option(argv, "--topic"), int(option(argv, "--k", "2"))
-        mode = tn.Mode(option(argv, "--mode", "secondary"))
-        direction = tn.Direction(option(argv, "--direction", "directed"))
-        boot = int(option(argv, "--boot", "1000"))
-        level = float(option(argv, "--level", "0.95"))
-        seed = int(option(argv, "--seed", "0"))
-        layer = option(argv, "--layer")
-        layer_ids = ([data.registry.id_of(layer)] if layer
-                     else list(range(len(data.registry))))
-        estimates = []
-        for layer_id in layer_ids:
-            lname = data.registry.name_of(layer_id)
-            _, model = self.layer_model(data, panels, topic, layer_id, k, mode, direction)
-            with tr.span("contagion.bootstrap", layer=lname):
-                est = tn.counterfactual_reduction(model, lname, k, n_boot=boot,
-                                                  level=level, seed=seed, threads=1)
-            tr.count("contagion.bootstrap_reps", est.n_boot)
-            tr.count("contagion.bootstrap_failed_reps", est.n_failed)
-            estimates.append((lname, est))
-        with tr.span("io.render"):
-            f = tio.fmt_fraction
-            rows, payload = [], []
-            for lname, est in estimates:
-                rows.append([topic, lname, str(k), f(est.reduction), f(est.ci_low),
-                             f(est.ci_high), f(est.level), str(est.n_boot),
-                             str(est.n_failed)])
-                payload.append({"topic": topic, "layer": lname, "k": k,
-                                "reduction": est.reduction, "ci_low": est.ci_low,
-                                "ci_high": est.ci_high, "level": est.level,
-                                "n_boot": est.n_boot, "n_failed": est.n_failed})
-            self.emit(option(argv, "--format", "csv"), out_dir, "reduce",
-                      ["topic", "layer", "k", "reduction", "ci_low", "ci_high", "level",
-                       "n_boot", "n_failed"], rows, {"command": "reduce", "rows": payload})
-
-    def experiment(self, argv, out_dir):
-        tn, tio, tr = self.tn, self.tio, self.tr
-        with tr.span("io.parse_scenario"):
-            config = tio.parse_scenario(option(argv, "--config"))
-        with tr.span("simulate.experiment"):
-            result = tn.end_to_end_experiment(config, seed=int(option(argv, "--seed")),
-                                              threads=1)
-        with tr.span("io.render"):
-            f = tio.fmt_fraction
-            fmt = option(argv, "--format", "csv")
-            rows, payload = [], []
-            for o in result.outcomes:
-                rows.append([o.topic, o.layer, f(o.mean_torque), str(int(o.transmitting)),
-                             f(o.reduction), f(o.ci_low), f(o.ci_high)])
-                payload.append({"topic": o.topic, "layer": o.layer,
-                                "mean_torque": o.mean_torque,
-                                "transmitting": o.transmitting, "reduction": o.reduction,
-                                "ci_low": o.ci_low, "ci_high": o.ci_high})
-            slopes = sorted(result.slopes.items())
-            self.emit(fmt, out_dir, "experiment",
-                      ["topic", "layer", "mean_torque", "transmitting", "reduction",
-                       "ci_low", "ci_high"], rows,
-                      {"command": "experiment", "seed": result.seed,
-                       "n_villages": result.n_villages, "rows": payload,
-                       "slopes": [{"topic": t, "slope": s, "p_value": p}
-                                  for t, (s, p) in slopes]})
-            if fmt == "csv":
-                text = tio.render_csv(["topic", "slope", "p_value"],
-                                      [[t, f(s), f(p)] for t, (s, p) in slopes])
-                tio.atomic_write_text(os.path.join(out_dir, "experiment_slopes.csv"), text)
-                self.stdout.write(text)
-                tr.count("io.output_bytes", len(text.encode("utf-8")))
-
-
-def replay_workload(workload, seed: int, data_dir: str, out_root: str,
-                    env: dict) -> ReplayResult:
-    """Replay simulate and every command of the workload; spans and metrics.
+def replay_workload(calls, env: dict) -> ReplayResult:
+    """Run each (name, argv) of calls through torquenet.cli.main, traced.
 
     env is the environment the CLI commands get: its PYTHONPATH and BLAS
     settings apply to this process before numpy is first imported.
     """
-    import_s = import_seconds("torquenet.cli", env)
-    import_stats_s = import_seconds("scipy.stats", env)
+    import_stats_s = statistics.median(import_seconds("scipy.stats", env) for _ in range(3))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         if var in env:
             os.environ[var] = env[var]
     sys.path[:0] = [p for p in env["PYTHONPATH"].split(os.pathsep) if p not in sys.path]
+    from torquenet import cli
+
     tr = Tracer()
-    rp = Replay(tr, seed, data_dir)
-    out_dirs = {}
+    undo, missing = install(tr)
+    codes = {}
+    # one import sample before each command, so that the samples see the
+    # machine at the same speed as the commands do
+    imports = []
     try:
-        tr.command = "simulate"
-        sim_dir = os.path.join(out_root, "simulate")
-        os.makedirs(sim_dir, exist_ok=True)
-        rp.simulate(["--config", workload.config], sim_dir, threads=1)
-        out_dirs["simulate"] = sim_dir
-        for cmd in workload.commands:
-            out_dir = os.path.join(out_root, cmd.name)
-            os.makedirs(out_dir, exist_ok=True)
-            argv = fill(cmd.argv, data=data_dir, out=out_dir, config=workload.config,
-                        seed=seed)
-            tr.command = cmd.name
-            getattr(rp, cmd.name)(argv, out_dir)
-            out_dirs[cmd.name] = out_dir
+        with open(os.devnull, "w", encoding="utf-8") as devnull:
+            for name, argv in calls:
+                imports.append(import_seconds("torquenet.cli", env))
+                tr.command = name
+                tr.villages = {}
+                with contextlib.redirect_stdout(devnull), tr.span("cli.main"):
+                    try:
+                        codes[name] = cli.main(list(argv) + ["--threads", "1"])
+                    except SystemExit as exc:  # argparse usage errors
+                        codes[name] = exc.code if isinstance(exc.code, int) else 1
+                    except Exception:  # what would end a CLI process with 1
+                        traceback.print_exc()
+                        codes[name] = 1
     finally:
-        rp.close()
+        uninstall(undo)
     values = tr.metrics()
-    values["cli.import_s"] = import_s
+    values["cli.import_s"] = statistics.median(imports)
     values["cli.import_scipy_stats_s"] = import_stats_s
     metrics = {name: {"value": values[name], "unit": unit}
                for name, unit in PER_LAYER.items()}
-    return ReplayResult(commands=tr.command_totals(), out_dirs=out_dirs,
-                        spans=tr.spans, metrics=metrics)
+    return ReplayResult(commands=tr.command_totals(), returncodes=codes, spans=tr.spans,
+                        metrics=metrics, missing_hooks=missing)

@@ -8,11 +8,12 @@ Run from the root of a torquenet checkout. One run has three phases:
    ``setup_s`` is the time from this process's start to the end of it.
 2. With ``--trace 0``, the workload's commands run one after another as
    ``python -m torquenet.cli ...`` (PYTHONPATH=src), each timed from outside
-   (wall time, user + system CPU, peak RSS). Whole rounds of the command
-   list repeat while another round is expected to end within --seconds
-   (at least one round); each command's figures are its median over the
-   rounds. With ``--trace 1`` the same calls are replayed in this process
-   instead, one span per module call (see replay.py).
+   (wall time, user + system CPU, peak RSS). Whole rounds of the
+   workload's schedule repeat while another round is expected to end within
+   --seconds (at least one round); each command's figures are its best
+   sample in the run. With ``--trace 1`` the same calls (simulate first) run once more
+   in this process through ``torquenet.cli.main``, with the library's
+   functions wrapped in spans (see replay.py).
 3. The outputs are checked against independent recounts (see checks.py).
 
 The last line of stdout is one JSON object: correct, attempted, failed and
@@ -28,7 +29,6 @@ import argparse  # noqa: E402
 import json  # noqa: E402
 import os  # noqa: E402
 import shutil  # noqa: E402
-import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 
@@ -81,11 +81,14 @@ def thread_args(workload) -> list[str]:
     return ["--threads", str(workload.threads)] if workload.threads > 1 else []
 
 
+def simulate_argv(workload, seed, data_dir) -> list[str]:
+    return (["simulate", "--config", workload.config, "--seed", str(seed),
+             "--out-dir", data_dir] + thread_args(workload))
+
+
 def simulate(workload, seed, data_dir, log_path) -> dict:
     os.makedirs(data_dir, exist_ok=True)
-    res = run_cli(["simulate", "--config", workload.config, "--seed", str(seed),
-                   "--out-dir", data_dir] + thread_args(workload), log_path,
-                  workload.blas_threads)
+    res = run_cli(simulate_argv(workload, seed, data_dir), log_path, workload.blas_threads)
     if res["rc"] != 0:
         raise RuntimeError(f"simulate exited {res['rc']}; see {log_path}")
     return res
@@ -97,32 +100,49 @@ def command_argv(workload, cmd, seed, data_dir, out_dir) -> list[str]:
 
 
 def run_round(workload, seed, data_dir, round_dir, log_path):
-    """One pass over the workload's commands; per-command records and outputs."""
-    records, out_dirs = {}, {}
-    for cmd in workload.commands:
-        out_dir = os.path.join(round_dir, cmd.name)
+    """One pass over the workload's schedule.
+
+    Returns each command's records (one per time it runs in the round) and
+    a list of output maps, command name -> output directory: the first
+    holds every command's first run, the next the second runs of the
+    commands the schedule repeats, and so on.
+    """
+    records, out_dirs = {}, []
+    for cmd in workload.round_order():
+        runs = records.setdefault(cmd.name, [])
+        out_dir = os.path.join(round_dir, cmd.name if not runs else f"{cmd.name}.{len(runs)}")
         os.makedirs(out_dir, exist_ok=True)
         rec = run_cli(command_argv(workload, cmd, seed, data_dir, out_dir), log_path,
                       workload.blas_threads)
         rec["stage"] = cmd.stage
-        records[cmd.name] = rec
         if rec["rc"] == 0:
-            out_dirs[cmd.name] = out_dir
+            while len(out_dirs) <= len(runs):
+                out_dirs.append({})
+            out_dirs[len(runs)][cmd.name] = out_dir
+        runs.append(rec)
     return records, out_dirs
 
 
 def run_metrics(rounds) -> dict:
-    """End-to-end metrics from each command's median over the rounds."""
-    med = {}
+    """End-to-end metrics from each command's best sample.
+
+    A command's wall time, CPU time and peak RSS are each its lowest over
+    every time it ran in the run: on a shared machine other load only ever
+    adds time, so the fastest sample is the one least disturbed by it.
+    The stage and whole-sequence figures add up one best run of each
+    command.
+    """
+    best = {}
     for name, first in rounds[0].items():
-        med[name] = {k: statistics.median(r[name][k] for r in rounds)
-                     for k in ("wall_s", "cpu_s", "peak_rss_mb")}
-        med[name]["stage"] = first["stage"]
-    m = {"wall_s": sum(c["wall_s"] for c in med.values())}
+        samples = [rec for r in rounds for rec in r[name]]
+        best[name] = {k: min(rec[k] for rec in samples)
+                      for k in ("wall_s", "cpu_s", "peak_rss_mb")}
+        best[name]["stage"] = first[0]["stage"]
+    m = {"wall_s": sum(c["wall_s"] for c in best.values())}
     for stage in STAGES:
-        m[f"{stage}_s"] = sum(c["wall_s"] for c in med.values() if c["stage"] == stage)
-    m["cpu_s"] = sum(c["cpu_s"] for c in med.values())
-    m["peak_rss_mb"] = max(c["peak_rss_mb"] for c in med.values())
+        m[f"{stage}_s"] = sum(c["wall_s"] for c in best.values() if c["stage"] == stage)
+    m["cpu_s"] = sum(c["cpu_s"] for c in best.values())
+    m["peak_rss_mb"] = max(c["peak_rss_mb"] for c in best.values())
     return m
 
 
@@ -162,8 +182,9 @@ def main(argv=None) -> int:
             round_dir = os.path.join(work, f"round{len(rounds)}")
             records, out_dirs = run_round(workload, args.seed, data_dir, round_dir,
                                           log_path)
-            attempted += len(records)
-            failed += sum(r["rc"] != 0 for r in records.values())
+            samples = [rec for runs in records.values() for rec in runs]
+            attempted += len(samples)
+            failed += sum(rec["rc"] != 0 for rec in samples)
             rounds.append((records, out_dirs))
             elapsed = time.perf_counter() - start
             if elapsed * (len(rounds) + 1) / len(rounds) > args.seconds:
@@ -171,8 +192,9 @@ def main(argv=None) -> int:
         check_start = time.perf_counter()
         inputs = Inputs(data_dir, workload.config)
         try:
-            for _, out_dirs in rounds:
-                check_outputs(workload, inputs, out_dirs)
+            for _, round_out_dirs in rounds:
+                for out_dirs in round_out_dirs:
+                    check_outputs(workload, inputs, out_dirs)
         except CheckFailed as exc:
             print(f"check failed: {exc}", file=sys.stderr)
             correct = False
@@ -186,22 +208,34 @@ def main(argv=None) -> int:
     else:
         from replay import replay_workload
 
-        out_root = os.path.join(work, "replay")
-        result = replay_workload(workload, args.seed, data_dir, out_root,
-                                 child_env(workload.blas_threads))
-        attempted = len(result.commands)
+        # simulate again, then every command, each into its own directory
+        names = ["simulate"] + [cmd.name for cmd in workload.commands]
+        out_dirs = {name: os.path.join(work, "replay", name) for name in names}
+        calls = [("simulate", simulate_argv(workload, args.seed, out_dirs["simulate"]))]
+        calls += [(cmd.name, command_argv(workload, cmd, args.seed, data_dir,
+                                          out_dirs[cmd.name]))
+                  for cmd in workload.commands]
+        for out_dir in out_dirs.values():
+            os.makedirs(out_dir)
+        result = replay_workload(calls, child_env(workload.blas_threads))
+        attempted = len(calls)
+        failed = sum(rc != 0 for rc in result.returncodes.values())
+        out_dirs = {name: d for name, d in out_dirs.items()
+                    if result.returncodes.get(name) == 0}
         inputs = Inputs(data_dir, workload.config)
         try:
             # the replayed simulate must write the CLI's bytes
-            check_same_files(result.out_dirs["simulate"], data_dir,
-                             ("edges.csv", "attributes.csv"))
-            check_outputs(workload, inputs, result.out_dirs)
+            if "simulate" in out_dirs:
+                check_same_files(out_dirs["simulate"], data_dir,
+                                 ("edges.csv", "attributes.csv"))
+            check_outputs(workload, inputs, out_dirs)
         except CheckFailed as exc:
             print(f"check failed: {exc}", file=sys.stderr)
             correct = False
         metrics = result.metrics
         record["spans"] = result.spans
         record["command_spans_s"] = result.commands
+        record["missing_hooks"] = result.missing_hooks
 
     record["machine"] = json.loads(subprocess.run(
         [sys.executable, os.path.join(HERE, "machine.py")], env=child_env(workload.blas_threads),

@@ -4,7 +4,12 @@ Each command is an argv template for ``python -m torquenet.cli``. The
 placeholders ``{data}`` (the directory ``simulate`` wrote), ``{out}`` (the
 command's output directory), ``{config}`` (the scenario file) and ``{seed}``
 are filled in at run time. ``stage`` names the end-to-end metric the
-command's wall time adds to.
+command's wall time adds to. A command's ``name`` is unique within its
+workload; its first argv entry is the CLI subcommand, which also names the
+file it writes (``<subcommand>.csv``).
+
+``schedule`` is the order of one round: every command once, and a short
+command that a round would otherwise sample only once may appear again.
 """
 
 from __future__ import annotations
@@ -26,6 +31,10 @@ class Command:
     stage: str  # structure | exposure | estimate
     argv: tuple[str, ...]
 
+    @property
+    def subcommand(self) -> str:
+        return self.argv[0]
+
 
 @dataclass(frozen=True)
 class Workload:
@@ -40,14 +49,21 @@ class Workload:
     exposure_village_stride: int
     # BLAS threads for the commands; None leaves the environment's default
     blas_threads: int | None = None
+    # command names in the order of one round; None = each command once
+    schedule: tuple[str, ...] | None = None
 
     @property
     def config(self) -> str:
         return os.path.join(SCENARIOS, self.scenario)
 
+    def round_order(self) -> tuple[Command, ...]:
+        by_name = {cmd.name: cmd for cmd in self.commands}
+        return tuple(by_name[name] for name in self.schedule) if self.schedule \
+            else self.commands
 
-def _cmd(name, stage, *argv):
-    return Command(name, stage, (name,) + argv)
+
+def _cmd(name, stage, *argv, subcommand=None):
+    return Command(name, stage, (subcommand or name,) + argv)
 
 
 WORKLOADS = {
@@ -58,6 +74,9 @@ WORKLOADS = {
             _cmd("torque", "structure", "--edges", EDGES),
             _cmd("exposure", "exposure", "--edges", EDGES, "--attrs", ATTRS,
                  "--topic", "story", "--k", "2,3,4"),
+            _cmd("exposure_primary", "exposure", "--edges", EDGES, "--attrs", ATTRS,
+                 "--topic", "story", "--mode", "primary", "--k", "2,3",
+                 subcommand="exposure"),
             _cmd("screen", "estimate", "--edges", EDGES, "--attrs", ATTRS),
             _cmd("fit", "estimate", "--edges", EDGES, "--attrs", ATTRS,
                  "--topic", "story", "--layer", "closest_friend",
@@ -81,22 +100,11 @@ WORKLOADS = {
                  "--format", "json", "--dump-design", DESIGN),
         ),
         torque_recount=(0, 27, 54, 81, 108), exposure_focal=10,
-        exposure_village_stride=11),
-    "village2k": Workload(
-        name="village2k", scenario="village2k.ini", threads=1,
-        commands=(
-            _cmd("torque", "structure", "--edges", EDGES),
-            _cmd("exposure", "exposure", "--edges", EDGES, "--attrs", ATTRS,
-                 "--topic", "chupones", "--mode", "primary", "--k", "2,3"),
-            _cmd("fit", "estimate", "--edges", EDGES, "--attrs", ATTRS,
-                 "--topic", "chupones", "--layer", "closest_friend",
-                 "--format", "json", "--dump-design", DESIGN),
-        ),
-        torque_recount=(), exposure_focal=10, exposure_village_stride=1),
+        exposure_village_stride=11, blas_threads=1,
+        schedule=("torque", "fit", "exposure", "fit")),
 }
 
-# The self-test runs the village30 command set, plus a PRIMARY exposure, on
-# a few small villages.
+# The self-test runs the village30 command set on a few small villages.
 TINY = Workload(
     name="tiny", scenario="tiny.ini", threads=1,
     commands=WORKLOADS["village30"].commands,
