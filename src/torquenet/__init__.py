@@ -19,16 +19,16 @@ from .metrics import (LayerStats, clustering, edge_betweenness,
                       layer_mean_betweenness, layer_stats, monoplexity,
                       prevalence, reachability, transitivity)
 from .panel import COVARIATE_NAMES, VillagePanel
-from .pathways import (Direction, ExposureRecord, Mode, PathwayAnalyzer,
-                       PathwayConfig, admissible_step, exposure,
-                       exposure_table, k_alter_counts, total_exposure)
+from .pathways import (Direction, Mode, PathwayAnalyzer, PathwayConfig,
+                       admissible_step, exposure, exposure_table,
+                       k_alter_counts, total_exposure)
 from .io import (EdgeData, IngestReport, load_attributes, load_dataset,
                  load_edges, parse_scenario)
 from .contagion import (ContagionModel, ReductionEstimate, RegressionFrame,
                         ScreenResult, ScreenRow, build_frame,
                         check_collinearity, contagion_screen,
-                        counterfactual_reduction, exposure_frame_columns, fit,
-                        fit_frame, newton_logit, reduction_point)
+                        counterfactual_reduction, fit, fit_frame,
+                        newton_logit, reduction_point)
 from .torque import (INFINITE, TorqueReport, all_pairs_distances, criticality,
                      network_torque, torque_all_layers)
 from .simulate import (ChainLayerSpec, DiffusionConfig, ExperimentConfig,

@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from operator import itemgetter
 
 import numpy as np
 
@@ -22,8 +23,9 @@ from .contagion import build_frame, contagion_screen, counterfactual_reduction, 
 from .errors import DataError, TorquenetError
 from .layers import LayerRegistry
 from .metrics import edge_betweenness, layer_stats
-from .pathways import (Direction, Mode, PathwayAnalyzer, PathwayConfig,
-                       exposure_table, k_alter_counts, total_exposure)
+from .pathways import (EXPOSURE_FIELDS, Direction, Mode, PathwayAnalyzer,
+                       PathwayConfig, exposure_table, k_alter_counts,
+                       total_exposure)
 from .simulate import ExperimentConfig, build_villages, end_to_end_experiment
 from .torque import torque_all_layers
 
@@ -156,14 +158,34 @@ def _need(args, *fields) -> None:
             raise DataError(f"--{f} is required for this command")
 
 
-def _emit(args, name: str, header, rows, payload) -> int:
-    if args.format == "csv":
-        text = tio.render_csv(header, rows)
-    else:
-        text = tio.render_json(payload)
-    path = os.path.join(args.out_dir, f"{name}.{args.format}")
-    tio.atomic_write_text(path, text)
+def _write(args, filename: str, text: str) -> None:
+    tio.atomic_write_text(os.path.join(args.out_dir, filename), text)
     sys.stdout.write(text)
+
+
+def _csv_table(header, rows, fractions=(), flags=()) -> str:
+    """Rows are dicts keyed by the header names. Fraction cells get
+    fmt_fraction and flag cells 0/1; every other cell (int or str) goes to
+    csv.writer as it is."""
+    convert = {**dict.fromkeys(fractions, tio.fmt_fraction),
+               **dict.fromkeys(flags, lambda flag: str(int(flag)))}
+    cells = map(itemgetter(*header), rows)
+    if convert:
+        fns = [convert.get(name) for name in header]
+        cells = ([v if fn is None else fn(v) for fn, v in zip(fns, row)]
+                 for row in cells)
+    return tio.render_csv(header, cells)
+
+
+def _emit(args, name: str, header, rows, *, fractions=(), flags=(),
+          rows_key: str = "rows", **extras) -> int:
+    """Write one command's table, rows being dicts keyed by the header
+    names: as CSV, or as JSON {"command": name, **extras, rows_key: rows}."""
+    if args.format == "csv":
+        text = _csv_table(header, rows, fractions, flags)
+    else:
+        text = tio.render_json({"command": name, **extras, rows_key: rows})
+    _write(args, f"{name}.{args.format}", text)
     return 0
 
 
@@ -197,27 +219,17 @@ def cmd_metrics(args) -> int:
         return [layer_stats(net, l, scores) for l in range(len(net.registry))]
 
     keys = sorted(data.networks)
-    header = ["village", "layer", "prevalence", "clustering", "reachability",
-              "monoplexity", "mean_edge_betweenness", "dyads", "nominations"]
-    rows = []
-    payload_rows = []
-    for village, stats in zip(keys, _map_villages(one, keys, args.threads)):
-        for st in stats:
-            rows.append([village, st.layer, tio.fmt_fraction(st.prevalence),
-                         tio.fmt_fraction(st.clustering),
-                         tio.fmt_fraction(st.reachability),
-                         tio.fmt_fraction(st.monoplexity),
-                         tio.fmt_fraction(st.mean_edge_betweenness),
-                         str(st.dyads), str(st.nominations)])
-            payload_rows.append({
-                "village": village, "layer": st.layer,
-                "prevalence": st.prevalence, "clustering": st.clustering,
-                "reachability": st.reachability, "monoplexity": st.monoplexity,
-                "mean_edge_betweenness": st.mean_edge_betweenness,
-                "dyads": st.dyads, "nominations": st.nominations,
-            })
-    return _emit(args, "metrics", header, rows,
-                 {"command": "metrics", "rows": payload_rows})
+    fractions = ("prevalence", "clustering", "reachability", "monoplexity",
+                 "mean_edge_betweenness")
+    header = ["village", "layer", *fractions, "dyads", "nominations"]
+    rows = [{"village": village, "layer": st.layer,
+             "prevalence": st.prevalence, "clustering": st.clustering,
+             "reachability": st.reachability, "monoplexity": st.monoplexity,
+             "mean_edge_betweenness": st.mean_edge_betweenness,
+             "dyads": st.dyads, "nominations": st.nominations}
+            for village, stats in zip(keys, _map_villages(one, keys, args.threads))
+            for st in stats]
+    return _emit(args, "metrics", header, rows, fractions=fractions)
 
 
 def cmd_torque(args) -> int:
@@ -227,18 +239,11 @@ def cmd_torque(args) -> int:
     reports = _map_villages(lambda v: torque_all_layers(data.networks[v]),
                             keys, args.threads)
     header = ["village", "layer", "torque", "critical_pairs", "connected_pairs"]
-    rows = []
-    payload_rows = []
-    for village, rep in zip(keys, reports):
-        for layer, t, c in zip(rep.layers, rep.torque, rep.critical_pairs):
-            rows.append([village, layer, tio.fmt_fraction(t), str(c),
-                         str(rep.connected_pairs)])
-            payload_rows.append({
-                "village": village, "layer": layer, "torque": t,
-                "critical_pairs": c, "connected_pairs": rep.connected_pairs,
-            })
-    return _emit(args, "torque", header, rows,
-                 {"command": "torque", "rows": payload_rows})
+    rows = [{"village": village, "layer": layer, "torque": t,
+             "critical_pairs": c, "connected_pairs": rep.connected_pairs}
+            for village, rep in zip(keys, reports)
+            for layer, t, c in zip(rep.layers, rep.torque, rep.critical_pairs)]
+    return _emit(args, "torque", header, rows, fractions=("torque",))
 
 
 def cmd_correlates(args) -> int:
@@ -252,23 +257,14 @@ def cmd_correlates(args) -> int:
         rep = torque_all_layers(net)
         return [layer_stats(net, l, scores) for l in range(len(net.registry))], rep
 
-    header = ["village", "layer", "prevalence", "monoplexity",
-              "mean_edge_betweenness", "torque"]
-    rows = []
-    payload_rows = []
-    for village, (stats, rep) in zip(keys, _map_villages(one, keys, args.threads)):
-        for st, t in zip(stats, rep.torque):
-            rows.append([village, st.layer, tio.fmt_fraction(st.prevalence),
-                         tio.fmt_fraction(st.monoplexity),
-                         tio.fmt_fraction(st.mean_edge_betweenness),
-                         tio.fmt_fraction(t)])
-            payload_rows.append({
-                "village": village, "layer": st.layer,
-                "prevalence": st.prevalence, "monoplexity": st.monoplexity,
-                "mean_edge_betweenness": st.mean_edge_betweenness, "torque": t,
-            })
-    return _emit(args, "correlates", header, rows,
-                 {"command": "correlates", "rows": payload_rows})
+    fractions = ("prevalence", "monoplexity", "mean_edge_betweenness", "torque")
+    header = ["village", "layer", *fractions]
+    rows = [{"village": village, "layer": st.layer,
+             "prevalence": st.prevalence, "monoplexity": st.monoplexity,
+             "mean_edge_betweenness": st.mean_edge_betweenness, "torque": t}
+            for village, (stats, rep) in zip(keys, _map_villages(one, keys, args.threads))
+            for st, t in zip(stats, rep.torque)]
+    return _emit(args, "correlates", header, rows, fractions=fractions)
 
 
 # -- exposure and estimation commands --------------------------------
@@ -282,33 +278,26 @@ def cmd_exposure(args) -> int:
     direction = Direction(args.direction)
     keys = sorted(data.networks)
     registry = data.registry
+    cfgs = [PathwayConfig(layer=l, k=k, mode=mode, direction=direction)
+            for l in range(len(registry)) for k in ks]
 
     def one(village):
-        net = data.networks[village]
-        panel = panels[village]
-        analyzer = PathwayAnalyzer(net, validated=panel.validated(args.topic))
-        cfgs = [PathwayConfig(layer=l, k=k, mode=mode, direction=direction)
-                for l in range(len(registry)) for k in ks]
-        return exposure_table(net, panel, cfgs, args.topic,
-                              n_follows_mode=args.n_follows_mode,
-                              analyzer=analyzer)
+        return exposure_table(data.networks[village], panels[village], cfgs,
+                              args.topic, n_follows_mode=args.n_follows_mode)
 
     rows = []
-    payload_rows = []
     for village, tables in zip(keys, _map_villages(one, keys, args.threads)):
         names = data.node_ids[village]
-        for cfg, records in tables:
+        for cfg, rec in tables:
             lname = registry.name_of(cfg.layer)
-            rows.extend(tio.exposure_rows(village, names, lname, cfg.k,
-                                          cfg.mode, cfg.direction, records))
-            payload_rows.extend({
-                "village": village, "node": names[r.node], "layer": lname,
-                "k": cfg.k, "mode": cfg.mode.value,
-                "direction": cfg.direction.value,
-                "xi_L": r.xi_layer, "xi_notL": r.xi_rest, "N_k": r.k_alters,
-            } for r in records)
-    return _emit(args, "exposure", tio.EXPOSURE_HEADER, rows,
-                 {"command": "exposure", "topic": args.topic, "rows": payload_rows})
+            rows.extend(
+                {"village": village, "node": name, "layer": lname, "k": cfg.k,
+                 "mode": mode.value, "direction": direction.value,
+                 "xi_L": xi_l, "xi_notL": xi_r, "N_k": n_k}
+                for name, xi_l, xi_r, n_k in zip(
+                    names, rec.xi_layer.tolist(), rec.xi_rest.tolist(),
+                    rec.k_alters.tolist()))
+    return _emit(args, "exposure", tio.EXPOSURE_HEADER, rows, topic=args.topic)
 
 
 def cmd_screen(args) -> int:
@@ -325,73 +314,51 @@ def cmd_screen(args) -> int:
     keys = sorted(data.networks)
 
     def one(village):
+        # SECONDARY depths ignore the validity mask, so one analyzer serves
+        # every topic
         net = data.networks[village]
-        panel = panels[village]
-        expo = {}
-        nk = {}
-        for topic in topics:
-            analyzer = PathwayAnalyzer(net, validated=panel.validated(topic))
-            for k in ks:
-                expo[(topic, k)] = total_exposure(net, panel, k, topic,
-                                                  direction, analyzer=analyzer)
-                nk[k] = k_alter_counts(net, k, direction, analyzer=analyzer)
+        analyzer = PathwayAnalyzer(net)
+        nk = {k: k_alter_counts(net, k, direction, analyzer=analyzer) for k in ks}
+        expo = {(topic, k): total_exposure(net, panels[village], k, topic,
+                                           direction, analyzer=analyzer)
+                for topic in topics for k in ks}
         return expo, nk
 
     expo_by_tk = {(t, k): {} for t in topics for k in ks}
     n_by_k = {k: {} for k in ks}
     for village, (expo, nk) in zip(keys, _map_villages(one, keys, args.threads)):
         for tk, arr in expo.items():
-            expo_by_tk[tk][village] = arr.astype(float)
+            expo_by_tk[tk][village] = arr
         for k, arr in nk.items():
-            n_by_k[k][village] = arr.astype(float)
+            n_by_k[k][village] = arr
     result = contagion_screen(panels, expo_by_tk, n_by_k, topics, ks, args.alpha)
-    header = ["topic", "k", "coefficient", "std_error", "z", "p_value",
-              "n_obs", "topic_passes"]
-    rows = []
-    payload_rows = []
-    for r in result.rows:
-        passes = result.passes(r.topic)
-        rows.append([r.topic, str(r.k), tio.fmt_fraction(r.coefficient),
-                     tio.fmt_fraction(r.std_error), tio.fmt_fraction(r.z),
-                     tio.fmt_fraction(r.p_value), str(r.n_obs),
-                     str(int(passes))])
-        payload_rows.append({
-            "topic": r.topic, "k": r.k, "coefficient": r.coefficient,
-            "std_error": r.std_error, "z": r.z, "p_value": r.p_value,
-            "n_obs": r.n_obs, "topic_passes": passes,
-        })
-    return _emit(args, "screen", header, rows,
-                 {"command": "screen", "alpha": args.alpha, "rows": payload_rows})
+    fractions = ("coefficient", "std_error", "z", "p_value")
+    header = ["topic", "k", *fractions, "n_obs", "topic_passes"]
+    rows = [{"topic": r.topic, "k": r.k, "coefficient": r.coefficient,
+             "std_error": r.std_error, "z": r.z, "p_value": r.p_value,
+             "n_obs": r.n_obs, "topic_passes": result.passes(r.topic)}
+            for r in result.rows]
+    return _emit(args, "screen", header, rows, fractions=fractions,
+                 flags=("topic_passes",), alpha=args.alpha)
 
 
-def _layer_exposure_columns(data, panels, topic, layer_id, k, mode, direction,
-                            threads):
+def _exposure_columns(args, data, panels, layer_ids) -> list[dict]:
+    """build_frame exposure columns for each layer id, from one
+    exposure_table call per village over all the layers."""
+    cfgs = [PathwayConfig(layer=l, k=args.k, mode=Mode(args.mode),
+                          direction=Direction(args.direction)) for l in layer_ids]
     keys = sorted(data.networks)
-
-    def one(village):
-        net = data.networks[village]
-        panel = panels[village]
-        cfg = PathwayConfig(layer=layer_id, k=k, mode=mode, direction=direction)
-        (_, records), = exposure_table(net, panel, cfg, topic)
-        return (np.array([r.xi_layer for r in records], float),
-                np.array([r.xi_rest for r in records], float),
-                np.array([r.k_alters for r in records], float))
-
-    cols = {"xi_layer": {}, "xi_rest": {}, "k_alters": {}}
-    for village, (xl, xr, nk) in zip(keys, _map_villages(one, keys, threads)):
-        cols["xi_layer"][village] = xl
-        cols["xi_rest"][village] = xr
-        cols["k_alters"][village] = nk
-    return cols
+    tables = _map_villages(
+        lambda v: exposure_table(data.networks[v], panels[v], cfgs, args.topic),
+        keys, args.threads)
+    return [{name: {v: t[i][1][name] for v, t in zip(keys, tables)}
+             for name in EXPOSURE_FIELDS} for i in range(len(cfgs))]
 
 
 def cmd_fit(args) -> int:
     _need(args, "edges", "attrs")
     data, panels = tio.load_dataset(args.edges, args.attrs, registry=_registry(args))
-    layer_id = data.registry.id_of(args.layer)
-    cols = _layer_exposure_columns(data, panels, args.topic, layer_id, args.k,
-                                   Mode(args.mode), Direction(args.direction),
-                                   args.threads)
+    cols, = _exposure_columns(args, data, panels, [data.registry.id_of(args.layer)])
     frame = build_frame(panels, args.topic, cols)
     model = fit_frame(frame, args.topic)
     if args.dump_design:
@@ -402,25 +369,17 @@ def cmd_fit(args) -> int:
                                + [tio.fmt_value(v) for v in xrow])
         tio.atomic_write_text(args.dump_design, tio.render_csv(
             ["village", "node", "y"] + list(frame.columns), design_rows))
-    header = ["term", "coefficient", "std_error", "z", "p_value"]
-    rows = []
-    payload_terms = []
-    for name in frame.columns:
+    fractions = ("coefficient", "std_error", "z", "p_value")
+    terms = []
+    for j, name in enumerate(frame.columns):
         z, p = model.wald(name)
-        j = frame.columns.index(name)
-        rows.append([name, tio.fmt_fraction(model.beta[j]),
-                     tio.fmt_fraction(model.se[j]), tio.fmt_fraction(z),
-                     tio.fmt_fraction(p)])
-        payload_terms.append({"term": name, "coefficient": float(model.beta[j]),
-                              "std_error": float(model.se[j]), "z": z, "p_value": p})
-    payload = {
-        "command": "fit", "topic": args.topic, "layer": args.layer,
-        "k": args.k, "mode": args.mode, "direction": args.direction,
-        "loglik": model.loglik, "null_loglik": model.null_loglik,
-        "iterations": model.iterations, "grad_max": model.grad_max,
-        "n_obs": frame.n, "n_dropped": frame.n_dropped, "terms": payload_terms,
-    }
-    return _emit(args, "fit", header, rows, payload)
+        terms.append({"term": name, "coefficient": float(model.beta[j]),
+                      "std_error": float(model.se[j]), "z": z, "p_value": p})
+    return _emit(args, "fit", ["term", *fractions], terms, fractions=fractions,
+                 rows_key="terms", topic=args.topic, layer=args.layer, k=args.k,
+                 mode=args.mode, direction=args.direction, loglik=model.loglik,
+                 null_loglik=model.null_loglik, iterations=model.iterations,
+                 grad_max=model.grad_max, n_obs=frame.n, n_dropped=frame.n_dropped)
 
 
 def cmd_reduce(args) -> int:
@@ -430,32 +389,22 @@ def cmd_reduce(args) -> int:
         layer_ids = [data.registry.id_of(args.layer)]
     else:
         layer_ids = list(range(len(data.registry)))
-    header = ["topic", "layer", "k", "reduction", "ci_low", "ci_high", "level",
-              "n_boot", "n_failed"]
     rows = []
-    payload_rows = []
-    for layer_id in layer_ids:
+    for layer_id, cols in zip(layer_ids,
+                              _exposure_columns(args, data, panels, layer_ids)):
         lname = data.registry.name_of(layer_id)
-        cols = _layer_exposure_columns(data, panels, args.topic, layer_id, args.k,
-                                       Mode(args.mode), Direction(args.direction),
-                                       args.threads)
         frame = build_frame(panels, args.topic, cols)
         model = fit_frame(frame, args.topic)
         est = counterfactual_reduction(model, lname, args.k, n_boot=args.boot,
                                        level=args.level, seed=args.seed,
                                        threads=args.threads)
-        rows.append([args.topic, lname, str(args.k),
-                     tio.fmt_fraction(est.reduction), tio.fmt_fraction(est.ci_low),
-                     tio.fmt_fraction(est.ci_high), tio.fmt_fraction(est.level),
-                     str(est.n_boot), str(est.n_failed)])
-        payload_rows.append({
-            "topic": args.topic, "layer": lname, "k": args.k,
-            "reduction": est.reduction, "ci_low": est.ci_low,
-            "ci_high": est.ci_high, "level": est.level,
-            "n_boot": est.n_boot, "n_failed": est.n_failed,
-        })
-    return _emit(args, "reduce", header, rows,
-                 {"command": "reduce", "rows": payload_rows})
+        rows.append({"topic": args.topic, "layer": lname, "k": args.k,
+                     "reduction": est.reduction, "ci_low": est.ci_low,
+                     "ci_high": est.ci_high, "level": est.level,
+                     "n_boot": est.n_boot, "n_failed": est.n_failed})
+    fractions = ("reduction", "ci_low", "ci_high", "level")
+    header = ["topic", "layer", "k", *fractions, "n_boot", "n_failed"]
+    return _emit(args, "reduce", header, rows, fractions=fractions)
 
 
 # -- simulator commands ----------------------------------------------
@@ -474,56 +423,33 @@ def cmd_simulate(args) -> int:
     tio.write_edges_csv(os.path.join(args.out_dir, "edges.csv"), nets, node_ids)
     tio.write_attributes_csv(os.path.join(args.out_dir, "attributes.csv"), panels)
     header = ["village", "n", "households", "topic", "treated", "knowledgeable_w3"]
-    rows = []
-    payload_rows = []
-    for village in sorted(panels):
-        panel = panels[village]
-        hh = len(np.unique(panel.household))
-        for topic in panel.topics:
-            treated = int(panel.intervened(topic).sum())
-            k3 = np.asarray(panel.k_w3[topic])
-            know = int(np.nansum(k3))
-            rows.append([village, str(panel.n), str(hh), topic,
-                         str(treated), str(know)])
-            payload_rows.append({
-                "village": village, "n": panel.n, "households": hh,
-                "topic": topic, "treated": treated, "knowledgeable_w3": know,
-            })
-    return _emit(args, "simulate", header, rows,
-                 {"command": "simulate", "seed": args.seed, "rows": payload_rows})
+    rows = [{"village": village, "n": panel.n,
+             "households": len(np.unique(panel.household)), "topic": topic,
+             "treated": int(panel.intervened(topic).sum()),
+             "knowledgeable_w3": int(np.nansum(panel.k_w3[topic]))}
+            for village, panel in sorted(panels.items())
+            for topic in panel.topics]
+    return _emit(args, "simulate", header, rows, seed=args.seed)
 
 
 def cmd_experiment(args) -> int:
     config = _scenario(args)
     result = end_to_end_experiment(config, seed=args.seed, threads=args.threads)
+    fractions = ("mean_torque", "reduction", "ci_low", "ci_high")
     header = ["topic", "layer", "mean_torque", "transmitting", "reduction",
-              "ci_low", "ci_high"]
-    rows = []
-    payload_rows = []
-    for o in result.outcomes:
-        rows.append([o.topic, o.layer, tio.fmt_fraction(o.mean_torque),
-                     str(int(o.transmitting)), tio.fmt_fraction(o.reduction),
-                     tio.fmt_fraction(o.ci_low), tio.fmt_fraction(o.ci_high)])
-        payload_rows.append({
-            "topic": o.topic, "layer": o.layer, "mean_torque": o.mean_torque,
-            "transmitting": o.transmitting, "reduction": o.reduction,
-            "ci_low": o.ci_low, "ci_high": o.ci_high,
-        })
-    slope_header = ["topic", "slope", "p_value"]
-    slope_rows = [[t, tio.fmt_fraction(s), tio.fmt_fraction(p)]
-                  for t, (s, p) in sorted(result.slopes.items())]
-    slope_payload = [{"topic": t, "slope": s, "p_value": p}
-                     for t, (s, p) in sorted(result.slopes.items())]
-    code = _emit(args, "experiment", header, rows, {
-        "command": "experiment", "seed": args.seed,
-        "n_villages": result.n_villages, "rows": payload_rows,
-        "slopes": slope_payload,
-    })
+              "ci_low", "ci_high", "n_failed"]
+    rows = [{"topic": o.topic, "layer": o.layer, "mean_torque": o.mean_torque,
+             "transmitting": o.transmitting, "reduction": o.reduction,
+             "ci_low": o.ci_low, "ci_high": o.ci_high, "n_failed": o.n_failed}
+            for o in result.outcomes]
+    slopes = [{"topic": t, "slope": s, "p_value": p}
+              for t, (s, p) in sorted(result.slopes.items())]
+    code = _emit(args, "experiment", header, rows, fractions=fractions,
+                 flags=("transmitting",), seed=args.seed,
+                 n_villages=result.n_villages, slopes=slopes)
     if args.format == "csv":
-        text = tio.render_csv(slope_header, slope_rows)
-        tio.atomic_write_text(
-            os.path.join(args.out_dir, "experiment_slopes.csv"), text)
-        sys.stdout.write(text)
+        _write(args, "experiment_slopes.csv", _csv_table(
+            ["topic", "slope", "p_value"], slopes, fractions=("slope", "p_value")))
     return code
 
 

@@ -18,15 +18,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, qr
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtr
 
 from .errors import (CollinearityError, DataError, FitError, PredictionError,
                      SeparationError)
 from .panel import COVARIATE_NAMES, VillagePanel
-from .pathways import ExposureRecord
-
-EXPOSURE_COLUMNS = ("xi_layer", "xi_rest", "k_alters")
+from .pathways import EXPOSURE_FIELDS
 
 _LL_TOL = 1e-10
 _GRAD_TOL = 1e-8
@@ -124,17 +121,6 @@ def build_frame(panels: Mapping[str, VillagePanel], topic: str,
         rows=tuple(rows),
         n_dropped=dropped,
     )
-
-
-def exposure_frame_columns(exposures: Mapping[str, Sequence[ExposureRecord]],
-                           ) -> dict[str, dict[str, np.ndarray]]:
-    """Per-village ExposureRecord lists -> build_frame exposure columns."""
-    out: dict[str, dict[str, np.ndarray]] = {name: {} for name in EXPOSURE_COLUMNS}
-    for village, records in exposures.items():
-        for name in EXPOSURE_COLUMNS:
-            out[name][village] = np.array(
-                [getattr(r, name) for r in records], dtype=float)
-    return out
 
 
 def _log_likelihood(eta: np.ndarray, y: np.ndarray, w: np.ndarray | None) -> float:
@@ -274,7 +260,7 @@ class ContagionModel:
         """(z statistic, two-sided p-value) for one coefficient."""
         j = self.columns.index(name)
         z = float(self.beta[j] / np.sqrt(self.cov[j, j]))
-        return z, float(2.0 * norm.sf(abs(z)))
+        return z, float(2.0 * ndtr(-abs(z)))
 
     def predict_frame(self, frame: RegressionFrame) -> np.ndarray:
         if frame.columns != self.columns:
@@ -302,12 +288,13 @@ def fit_frame(frame: RegressionFrame, topic: str) -> ContagionModel:
     )
 
 
-def fit(panels: Mapping[str, VillagePanel],
-        exposures: Mapping[str, Sequence[ExposureRecord]],
+def fit(panels: Mapping[str, VillagePanel], exposures: Mapping[str, np.recarray],
         topic: str) -> ContagionModel:
-    """Fit the layer-split adoption model from per-village exposure records."""
-    frame = build_frame(panels, topic, exposure_frame_columns(exposures))
-    return fit_frame(frame, topic)
+    """Fit the layer-split adoption model from per-village exposure_table
+    recarrays."""
+    cols = {name: {v: rec[name] for v, rec in exposures.items()}
+            for name in EXPOSURE_FIELDS}
+    return fit_frame(build_frame(panels, topic, cols), topic)
 
 
 @dataclass(frozen=True)

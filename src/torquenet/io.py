@@ -358,18 +358,6 @@ def write_attributes_csv(path: str, panels: Mapping[str, VillagePanel]) -> None:
     atomic_write_text(path, render_csv(header, rows))
 
 
-def exposure_rows(village: str, node_names: Sequence[str], layer_name: str,
-                  k: int, mode: Mode, direction: Direction, records) -> list[list[str]]:
-    out = []
-    for rec in records:
-        out.append([
-            village, node_names[rec.node], layer_name, str(k),
-            mode.value, direction.value,
-            str(rec.xi_layer), str(rec.xi_rest), str(rec.k_alters),
-        ])
-    return out
-
-
 # -- scenario configuration ------------------------------------------
 
 

@@ -78,7 +78,6 @@ def transitivity(g: SimpleGraph) -> float:
         if d < 2:
             continue
         triples += d * (d - 1) // 2
-        nbr_set = set(nbrs)
         for i, a in enumerate(nbrs):
             a_nbrs = set(g.neighbors(a))
             for b in nbrs[i + 1:]:

@@ -39,6 +39,7 @@ from .panel import VillagePanel
 
 K_CHOICES = (2, 3, 4)
 UNREACHED = np.uint8(255)
+EXPOSURE_FIELDS = ("xi_layer", "xi_rest", "k_alters")
 
 
 class Mode(Enum):
@@ -71,16 +72,6 @@ class PathwayConfig:
             object.__setattr__(self, "mode", Mode(self.mode))
         if not isinstance(self.direction, Direction):
             object.__setattr__(self, "direction", Direction(self.direction))
-
-
-@dataclass(frozen=True)
-class ExposureRecord:
-    """Counts for one focal node under one configuration."""
-
-    node: int
-    xi_layer: int
-    xi_rest: int
-    k_alters: int
 
 
 def admissible_step(net: MultiplexNetwork, u: int, v: int, direction: Direction,
@@ -173,11 +164,13 @@ def _validate_inputs(net: MultiplexNetwork, panel: VillagePanel, topic: str) -> 
 def exposure_table(net: MultiplexNetwork, panel: VillagePanel,
                    cfgs, topic: str, *, n_follows_mode: bool = False,
                    analyzer: PathwayAnalyzer | None = None,
-                   ) -> list[tuple[PathwayConfig, list[ExposureRecord]]]:
+                   ) -> list[tuple[PathwayConfig, np.recarray]]:
     """Exposure counts for every node under each configuration.
 
-    Configurations sharing a direction (and, for PRIMARY, the validity
-    mask) reuse cached depth matrices. Records are ordered by node id.
+    Each configuration's counts are a length-n recarray with integer
+    fields xi_layer, xi_rest and k_alters; row i is node i. Configurations
+    sharing a direction (and, for PRIMARY, the validity mask) reuse cached
+    depth matrices.
     """
     _validate_inputs(net, panel, topic)
     if isinstance(cfgs, PathwayConfig):
@@ -202,17 +195,14 @@ def exposure_table(net: MultiplexNetwork, panel: VillagePanel,
         n_src = analyzer.depths(cfg.direction, validated_interior=True) \
             if (primary and n_follows_mode) else base
         k_alters = (n_src == cfg.k).sum(axis=1)
-        out.append((cfg, [
-            ExposureRecord(node=i, xi_layer=int(xi_layer[i]),
-                           xi_rest=int(xi_rest[i]), k_alters=int(k_alters[i]))
-            for i in range(net.n)
-        ]))
+        out.append((cfg, np.rec.fromarrays((xi_layer, xi_rest, k_alters),
+                                           names=EXPOSURE_FIELDS)))
     return out
 
 
 def exposure(net: MultiplexNetwork, panel: VillagePanel, focal: int,
              cfg: PathwayConfig, topic: str, *,
-             n_follows_mode: bool = False) -> ExposureRecord:
+             n_follows_mode: bool = False) -> np.record:
     """Counts for a single focal node; see exposure_table for batch use."""
     _validate_inputs(net, panel, topic)
     if not 0 <= focal < net.n:

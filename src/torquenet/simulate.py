@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
-from scipy.stats import linregress
+from scipy.special import stdtr
 
 from .contagion import (build_frame, counterfactual_reduction, fit_frame,
                         reduction_point)
@@ -28,7 +28,8 @@ from .errors import ConfigError, DataError
 from .graph import MultiplexNetwork, Nomination, build_network
 from .layers import CANONICAL_LAYER_NAMES, KIN_LAYER_NAMES, LayerRegistry
 from .panel import VillagePanel
-from .pathways import Direction, Mode, PathwayAnalyzer, PathwayConfig, exposure_table
+from .pathways import (EXPOSURE_FIELDS, Direction, Mode, PathwayAnalyzer,
+                       PathwayConfig, exposure_table)
 from .torque import torque_all_layers
 
 # Seed-stream tags: every random draw comes from a generator keyed by
@@ -233,10 +234,11 @@ def generate_village(cfg: VillageGenConfig, seed: int, *, n: int,
 # -- intervention ----------------------------------------------------
 
 
-def draw_treated(household: np.ndarray, fraction: float,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Whole households uniformly without replacement until the treated
-    individual share meets or exceeds the target fraction."""
+def _treat_households(household: np.ndarray, fraction: float,
+                      household_order: Callable[[], np.ndarray]) -> np.ndarray:
+    """Whole households in household_order() until the treated individual
+    share meets or exceeds the target fraction. household_order is called
+    (and so draws from its generator) only when someone is to be treated."""
     if not 0.0 <= fraction <= 1.0:
         raise ConfigError("intervention fraction must be in [0, 1]")
     n = len(household)
@@ -244,47 +246,43 @@ def draw_treated(household: np.ndarray, fraction: float,
     if fraction == 0.0 or n == 0:
         return treated
     target = fraction * n
-    order = rng.permutation(np.unique(household))
     count = 0
-    for hh in order:
+    for hh in household_order():
         if count >= target - 1e-9:
             break
         members = household == hh
         treated[members] = True
         count += int(members.sum())
     return treated
+
+
+def draw_treated(household: np.ndarray, fraction: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Whole households uniformly without replacement until the treated
+    individual share meets or exceeds the target fraction."""
+    return _treat_households(household, fraction,
+                             lambda: rng.permutation(np.unique(household)))
 
 
 def torque_guided_treated(net: MultiplexNetwork, household: np.ndarray,
                           fraction: float, rng: np.random.Generator) -> np.ndarray:
     """Optional targeting strategy: prefer households incident to the
     highest-torque layer's single-support dyads; random tiebreak."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ConfigError("intervention fraction must be in [0, 1]")
-    n = len(household)
-    treated = np.zeros(n, dtype=bool)
-    if fraction == 0.0 or n == 0:
-        return treated
-    report = torque_all_layers(net)
-    top_layer = int(np.argmax(report.torque))
-    incident = np.zeros(n, dtype=np.int64)
-    for (u, v), sup in net.dyads.items():
-        if set(sup) == {top_layer}:
-            incident[u] += 1
-            incident[v] += 1
-    hh_ids = np.unique(household)
-    hh_score = np.array([incident[household == hh].sum() for hh in hh_ids])
-    jitter = rng.random(len(hh_ids))
-    order = hh_ids[np.lexsort((jitter, -hh_score))]
-    target = fraction * n
-    count = 0
-    for hh in order:
-        if count >= target - 1e-9:
-            break
-        members = household == hh
-        treated[members] = True
-        count += int(members.sum())
-    return treated
+
+    def order() -> np.ndarray:
+        report = torque_all_layers(net)
+        top_layer = int(np.argmax(report.torque))
+        incident = np.zeros(len(household), dtype=np.int64)
+        for (u, v), sup in net.dyads.items():
+            if set(sup) == {top_layer}:
+                incident[u] += 1
+                incident[v] += 1
+        hh_ids = np.unique(household)
+        hh_score = np.array([incident[household == hh].sum() for hh in hh_ids])
+        jitter = rng.random(len(hh_ids))
+        return hh_ids[np.lexsort((jitter, -hh_score))]
+
+    return _treat_households(household, fraction, order)
 
 
 def assign_intervention(panel: VillagePanel, fraction: float, seed: int,
@@ -444,6 +442,7 @@ class LayerOutcome:
     reduction: float
     ci_low: float
     ci_high: float
+    n_failed: int  # bootstrap replicates that failed to fit; 0 without bootstrap
 
 
 @dataclass(frozen=True)
@@ -493,6 +492,20 @@ def build_villages(config: ExperimentConfig, seed: int, threads: int = 1,
     return nets, panels
 
 
+def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """(Least-squares slope of y on x, two-sided t-test p-value of the slope).
+
+    Needs at least 3 points; constant x gives (nan, nan) where
+    scipy.stats.linregress raises. Otherwise the arithmetic is linregress's,
+    so results agree bit for bit.
+    """
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    df = len(x) - 2
+    t = r * np.sqrt(df / ((1.0 - r + 1e-20) * (1.0 + r + 1e-20)))
+    return float(ssxym / ssxm), float(2.0 * stdtr(df, -abs(t)))
+
+
 def end_to_end_experiment(config: ExperimentConfig, seed: int = 0,
                           threads: int = 1) -> ExperimentResult:
     """Generator -> intervention -> diffusion -> exposure -> fit ->
@@ -514,7 +527,7 @@ def end_to_end_experiment(config: ExperimentConfig, seed: int = 0,
         cfgs = [PathwayConfig(layer=l, k=config.k, mode=config.mode,
                               direction=config.direction) for l in range(nlay)]
         per_layer_cols: list[dict[str, dict[str, np.ndarray]]] = [
-            {"xi_layer": {}, "xi_rest": {}, "k_alters": {}, "treated": {}}
+            {name: {} for name in EXPOSURE_FIELDS + ("treated",)}
             for _ in range(nlay)]
         for key in keys:
             analyzer = PathwayAnalyzer(nets[key],
@@ -524,12 +537,10 @@ def end_to_end_experiment(config: ExperimentConfig, seed: int = 0,
             # assignment is clustered by household, so holding own assignment
             # fixed is required: under forgetting, kin exposure otherwise
             # proxies the node's own seeding status
-            treated_col = np.asarray(panels[key].treated[topic], float)
-            for l, (_, records) in enumerate(tables):
-                cols = per_layer_cols[l]
-                cols["xi_layer"][key] = np.array([r.xi_layer for r in records], float)
-                cols["xi_rest"][key] = np.array([r.xi_rest for r in records], float)
-                cols["k_alters"][key] = np.array([r.k_alters for r in records], float)
+            treated_col = panels[key].treated[topic]
+            for cols, (_, records) in zip(per_layer_cols, tables):
+                for name in EXPOSURE_FIELDS:
+                    cols[name][key] = records[name]
                 cols["treated"][key] = treated_col
 
         def reduce_layer(l: int):
@@ -539,8 +550,8 @@ def end_to_end_experiment(config: ExperimentConfig, seed: int = 0,
                 est = counterfactual_reduction(
                     model, layer_names[l], config.k, n_boot=config.bootstrap_reps,
                     level=config.ci_level, seed=seed, threads=1)
-                return est.reduction, est.ci_low, est.ci_high
-            return reduction_point(model), float("nan"), float("nan")
+                return est.reduction, est.ci_low, est.ci_high, est.n_failed
+            return reduction_point(model), float("nan"), float("nan"), 0
 
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -556,6 +567,7 @@ def end_to_end_experiment(config: ExperimentConfig, seed: int = 0,
                 transmitting=dcfg.layer_probs.get(lname, 0.0) > 0.0,
                 reduction=float(results[l][0]),
                 ci_low=float(results[l][1]), ci_high=float(results[l][2]),
+                n_failed=results[l][3],
             ))
 
         # standardized reduction against log mean torque across layers
@@ -563,8 +575,7 @@ def end_to_end_experiment(config: ExperimentConfig, seed: int = 0,
         if usable.sum() >= 3 and np.std(reductions[usable]) > 0:
             z = ((reductions[usable] - reductions[usable].mean())
                  / reductions[usable].std())
-            fitres = linregress(np.log(mean_torque[usable]), z)
-            slopes[topic] = (float(fitres.slope), float(fitres.pvalue))
+            slopes[topic] = _ols_slope(np.log(mean_torque[usable]), z)
         else:
             slopes[topic] = (float("nan"), float("nan"))
 

@@ -11,10 +11,9 @@ import oracles
 from torquenet import (CollinearityError, ContagionModel, DataError,
                        PredictionError, ReductionEstimate, SeparationError,
                        build_frame, check_collinearity, contagion_screen,
-                       counterfactual_reduction, exposure_frame_columns,
-                       fit_frame, newton_logit, reduction_point)
+                       counterfactual_reduction, fit, fit_frame,
+                       newton_logit, reduction_point)
 from torquenet.contagion import _log_likelihood
-from torquenet.pathways import ExposureRecord
 
 from helpers import quick_panel
 
@@ -85,15 +84,45 @@ def test_frame_universe_pins_columns():
         build_frame(sub, "t", sub_cols, village_universe=("v0", "v2"))
 
 
-def test_exposure_frame_columns_mapping():
-    records = {"v0": [ExposureRecord(0, 1, 2, 5), ExposureRecord(1, 0, 3, 4)]}
-    cols = exposure_frame_columns(records)
-    assert list(cols["xi_layer"]["v0"]) == [1.0, 0.0]
-    assert list(cols["xi_rest"]["v0"]) == [2.0, 3.0]
-    assert list(cols["k_alters"]["v0"]) == [5.0, 4.0]
+def test_fit_reads_exposure_recarrays():
+    panels = _panels()
+    cols = _expo_cols(panels)
+    records = {key: np.rec.fromarrays(
+        [cols[name][key].astype(np.int64) for name in cols], names=tuple(cols))
+        for key in panels}
+    model = fit(panels, records, "t")
+    expect = fit_frame(build_frame(panels, "t", cols), "t")
+    assert model.columns[2:5] == ("xi_layer", "xi_rest", "k_alters")
+    np.testing.assert_array_equal(model.frame.X, expect.frame.X)
+    np.testing.assert_array_equal(model.beta, expect.beta)
 
 
 # -- maximum likelihood ----------------------------------------------
+
+
+def test_wald_and_slope_match_scipy_stats():
+    # scipy.stats is the oracle here only; the package does not import it
+    from scipy.stats import linregress, norm
+
+    from torquenet.simulate import _ols_slope
+
+    panels = _panels(4, n=80)
+    model = fit_frame(build_frame(panels, "t", _expo_cols(panels)), "t")
+    for name in model.columns:
+        z, p = model.wald(name)
+        assert p == 2.0 * norm.sf(abs(z))
+    rng = np.random.default_rng(40)
+    for _ in range(300):
+        n = int(rng.integers(3, 16))
+        x = rng.normal(size=n)
+        y = rng.normal(size=n) + rng.uniform(-2, 2) * x
+        want = linregress(x, y)
+        assert _ols_slope(x, y) == (want.slope, want.pvalue)
+    # perfect fits: r is clipped to +-1 and the p-value collapses to 0
+    x = np.arange(5.0)
+    for sign in (1.0, -1.0):
+        want = linregress(x, sign * x)
+        assert _ols_slope(x, sign * x) == (want.slope, want.pvalue)
 
 
 def test_slope_and_se_match_closed_form():

@@ -1,8 +1,12 @@
 """File ingestion, formatting, scenario parsing, and the command line."""
 
+import csv
+import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,8 +15,11 @@ from torquenet import (ChainLayerSpec, ConfigError, DataError,
                        DiffusionConfig, Direction, ExperimentConfig,
                        FriendLayerSpec, IngestError, LayerRegistry, Mode,
                        UnknownLayerError, VillageGenConfig, build_villages)
+import torquenet
 from torquenet import io as tio
 from torquenet.cli import THREADS_ENV, main
+
+from test_acceptance import STABLE_SCENARIO
 
 
 # -- fixtures --------------------------------------------------------
@@ -534,3 +541,63 @@ def test_cli_error_exit_codes(sim_files, tmp_path, capsys):
         main(["conjure"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(torquenet.__file__)))
+    probe = "import sys, torquenet.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def _json_cell(value):
+    """A JSON value as the CSV table writes it."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return tio.fmt_fraction(value)
+    return str(value)
+
+
+def _assert_tables_agree(csv_text, json_rows):
+    header, *rows = csv.reader(io.StringIO(csv_text))
+    assert rows and len(rows) == len(json_rows)
+    for row, obj in zip(rows, json_rows):
+        assert sorted(obj) == sorted(header)
+        assert row == [_json_cell(obj[name]) for name in header]
+
+
+def test_cli_csv_and_json_agree(tmp_path, capsys):
+    ini = tmp_path / "scenario.ini"
+    ini.write_text(STABLE_SCENARIO)
+    sim = tmp_path / "sim"
+    data = ["--edges", str(sim / "edges.csv"), "--attrs", str(sim / "attributes.csv")]
+    commands = [
+        ("simulate", ["--config", str(ini), "--seed", "5"]),
+        ("metrics", data[:2]),
+        ("torque", data[:2]),
+        ("correlates", data[:2]),
+        ("exposure", data + ["--topic", "story", "--k", "2,3"]),
+        ("screen", data),
+        ("fit", data + ["--topic", "story", "--layer", "closest_friend"]),
+        ("reduce", data + ["--topic", "story", "--layer", "closest_friend",
+                           "--seed", "3"]),
+        ("experiment", ["--config", str(ini), "--seed", "4"]),
+    ]
+    for name, argv in commands:
+        docs = {}
+        for fmt in ("csv", "json"):
+            out_dir = sim if name == "simulate" else tmp_path / fmt
+            code, out, _ = _run(capsys, [name, *argv, "--format", fmt,
+                                         "--out-dir", str(out_dir)])
+            assert code == 0, name
+            docs[fmt] = (out_dir / f"{name}.{fmt}").read_text()
+        doc = json.loads(docs["json"])
+        assert doc["command"] == name
+        _assert_tables_agree(docs["csv"], doc["terms" if name == "fit" else "rows"])
+    slopes = (tmp_path / "csv" / "experiment_slopes.csv").read_text()
+    _assert_tables_agree(slopes, doc["slopes"])

@@ -144,8 +144,8 @@ def test_shared_analyzer_and_batch_consistency():
     tables = exposure_table(net, panel, cfgs, "t", analyzer=analyzer)
     assert [cfg for cfg, _ in tables] == cfgs
     for cfg, records in tables:
+        assert len(records) == net.n
         for i, rec in enumerate(records):
-            assert rec.node == i
             assert exposure(net, panel, i, cfg, "t") == rec
 
 

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from torquenet import (ChainLayerSpec, ConfigError, DiffusionConfig,
-                       ExperimentConfig, FriendLayerSpec, VillageGenConfig,
-                       assign_intervention, build_villages, draw_treated,
-                       end_to_end_experiment, generate_village,
-                       simulate_diffusion, torque_guided_treated)
+                       ExperimentConfig, FriendLayerSpec, PathwayConfig,
+                       VillageGenConfig, assign_intervention, build_frame,
+                       build_villages, counterfactual_reduction, draw_treated,
+                       end_to_end_experiment, exposure_table, fit_frame,
+                       generate_village, simulate_diffusion,
+                       torque_guided_treated)
 from torquenet.layers import KIN_LAYER_NAMES
 from torquenet.simulate import _cascade, _rng
 
@@ -240,9 +242,36 @@ def test_end_to_end_experiment_shape():
     for o in result.outcomes:
         assert math.isfinite(o.reduction)
         assert math.isnan(o.ci_low) and math.isnan(o.ci_high)
+        assert o.n_failed == 0
         assert o.mean_torque >= 0.0
     assert "topic" in result.slopes
     assert result.for_topic("topic") == list(result.outcomes)
+
+
+def test_experiment_reports_failed_bootstrap_replicates():
+    config = ExperimentConfig(
+        n_villages=5, village_size=(25, 35), gen=_small_cfg(),
+        diffusion={"topic": DiffusionConfig(
+            layer_probs={"closest_friend": 0.5}, forget=0.05)},
+        fraction=0.3, bootstrap_reps=1000)
+    result = end_to_end_experiment(config, seed=6)
+    # the same fit and bootstrap for closest_friend, assembled by hand
+    nets, panels = build_villages(config, seed=6)
+    layer = _small_cfg().registry().id_of("closest_friend")
+    cols = {name: {} for name in ("xi_layer", "xi_rest", "k_alters", "treated")}
+    for key in panels:
+        (_, rec), = exposure_table(nets[key], panels[key],
+                                   PathwayConfig(layer, 2), "topic")
+        for name in ("xi_layer", "xi_rest", "k_alters"):
+            cols[name][key] = rec[name]
+        cols["treated"][key] = panels[key].treated["topic"]
+    model = fit_frame(build_frame(panels, "topic", cols), "topic")
+    est = counterfactual_reduction(model, "closest_friend", 2, seed=6)
+    assert est.n_failed > 0
+    out, = [o for o in result.outcomes if o.layer == "closest_friend"]
+    assert (out.n_failed, out.ci_low, out.ci_high) == \
+        (est.n_failed, est.ci_low, est.ci_high)
+    assert all(0 <= o.n_failed < 1000 for o in result.outcomes)
 
 
 def test_experiment_config_validation():
