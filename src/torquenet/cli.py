@@ -317,7 +317,7 @@ def cmd_screen(args) -> int:
         # SECONDARY depths ignore the validity mask, so one analyzer serves
         # every topic
         net = data.networks[village]
-        analyzer = PathwayAnalyzer(net)
+        analyzer = PathwayAnalyzer(net, kmax=max(ks))
         nk = {k: k_alter_counts(net, k, direction, analyzer=analyzer) for k in ks}
         expo = {(topic, k): total_exposure(net, panels[village], k, topic,
                                            direction, analyzer=analyzer)

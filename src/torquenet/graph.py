@@ -13,6 +13,7 @@ removal of layer L unless L was the only layer supporting the dyad.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -171,6 +172,20 @@ class MultiplexNetwork:
             self._out_by_layer = tuple(
                 tuple(tuple(sorted(a)) for a in per_layer) for per_layer in out)
         return self._out_by_layer
+
+    def nomination_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ego, alter, layer) int64 arrays, one entry per collapsed nomination."""
+        sups = self.dyads.values()
+        per_dyad = np.fromiter(map(len, sups), dtype=np.int64, count=len(sups))
+        uv = np.fromiter(chain.from_iterable(self.dyads), dtype=np.int64,
+                         count=2 * len(sups))
+        u, v = np.repeat(uv[0::2], per_dyad), np.repeat(uv[1::2], per_dyad)
+        layer = np.fromiter(chain.from_iterable(sups), dtype=np.int64)
+        mask = np.fromiter(chain.from_iterable(map(dict.values, sups)), dtype=np.int64)
+        fwd = (mask & DIR_FWD) > 0
+        rev = (mask & DIR_REV) > 0
+        return (np.concatenate([u[fwd], v[rev]]), np.concatenate([v[fwd], u[rev]]),
+                np.concatenate([layer[fwd], layer[rev]]))
 
     def nominations(self) -> list[Nomination]:
         """Recover the collapsed nomination set, deterministically ordered."""

@@ -33,8 +33,8 @@ from .graph import MultiplexNetwork, Nomination, build_network
 from .layers import LayerRegistry
 from .panel import COVARIATE_NAMES, VillagePanel
 from .pathways import Direction, Mode
-from .simulate import (ChainLayerSpec, DiffusionConfig, ExperimentConfig,
-                       FriendLayerSpec, VillageGenConfig)
+from .simulate import (SCENARIO_FORGET, ChainLayerSpec, DiffusionConfig,
+                       ExperimentConfig, FriendLayerSpec, VillageGenConfig)
 
 SCHEMA_VERSION = 1
 
@@ -458,7 +458,7 @@ def parse_scenario(path: str) -> ExperimentConfig:
     d_rounds = pop_typed(ddefaults, "rounds", int, 6)
     d_base = pop_typed(ddefaults, "baseline_rate", float, 0.2)
     d_uptake = pop_typed(ddefaults, "uptake", float, 0.95)
-    d_forget = pop_typed(ddefaults, "forget", float, 0.0)
+    d_forget = pop_typed(ddefaults, "forget", float, SCENARIO_FORGET)
     if ddefaults:
         raise ConfigError(f"unknown keys in [diffusion]: {sorted(ddefaults)}")
     diffusion = {}

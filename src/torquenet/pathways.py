@@ -20,10 +20,15 @@ survival check above stays unrestricted in both modes, so PRIMARY counts
 never exceed SECONDARY counts. k_alters reports the number of k-degree
 alters regardless of treatment, by default without the validity filter.
 
-All distances are computed for every focal node at once by depth-capped
-frontier expansion with boolean matrix products; interiors are filtered by
-masking the expansion columns. Products are thresholded at > 0, so results
-do not depend on the BLAS summation order.
+All distances come from the multi-source BFS of msbfs, run from every
+focal node at once up to kmax hops over the arcs the direction rule
+admits. Level d holds, in row v, the focal nodes within d admissible steps
+of v, so the k-degree alters of f are the rows whose bit f is set at level
+k and clear at level k - 1. Excluding a layer masks the arcs only it
+carries; PRIMARY mode stops unvalidated nodes from passing sources on from
+level 2, which is where they would become path interiors. Per-focal counts
+sum the unpacked bits of the intervened rows. All of it is integer bit
+arithmetic, so the counts are exact.
 """
 
 from __future__ import annotations
@@ -33,12 +38,12 @@ from enum import Enum
 
 import numpy as np
 
+from . import msbfs
 from .errors import ConfigError, DataError
 from .graph import DIR_FWD, DIR_REV, MultiplexNetwork
 from .panel import VillagePanel
 
 K_CHOICES = (2, 3, 4)
-UNREACHED = np.uint8(255)
 EXPOSURE_FIELDS = ("xi_layer", "xi_rest", "k_alters")
 
 
@@ -90,11 +95,12 @@ def admissible_step(net: MultiplexNetwork, u: int, v: int, direction: Direction,
 
 
 class PathwayAnalyzer:
-    """Caches admissible-depth matrices for one village and one validity mask.
+    """Caches admissible level sets for one village and one validity mask.
 
-    depth(...)[f, v] is the shortest admissible path length from f to v,
-    capped at kmax (UNREACHED beyond). The validity mask applies only to
-    path interiors, never to endpoints.
+    depths(...)[d] is an (n, words) bitset (see msbfs) whose row v holds
+    the focal nodes f with an admissible path of at most d steps from f to
+    v, for d = 0..kmax. The validity mask applies only to path interiors,
+    never to endpoints.
     """
 
     def __init__(self, net: MultiplexNetwork, validated: np.ndarray | None = None,
@@ -107,24 +113,19 @@ class PathwayAnalyzer:
         if len(validated) != net.n:
             raise DataError("validity mask length does not match the network")
         self.validated = np.asarray(validated, dtype=bool)
-        nom = np.zeros((len(net.registry), net.n, net.n), dtype=np.int16)
-        out = net.out_neighbors_by_layer()
-        for layer, per_node in enumerate(out):
-            for ego, alters in enumerate(per_node):
-                if alters:
-                    nom[layer, ego, list(alters)] = 1
-        self._nom = nom
-        self._nom_total = nom.sum(axis=0)
+        self._arcs: dict[Direction, msbfs.ArcSet] = {}
         self._depths: dict[tuple, np.ndarray] = {}
 
-    def admissible_matrix(self, direction: Direction,
-                          excluded_layer: int | None = None) -> np.ndarray:
-        counts = self._nom_total if excluded_layer is None \
-            else self._nom_total - self._nom[excluded_layer]
-        adm = counts > 0
-        if Direction(direction) is Direction.REVERSED:
-            adm = adm.T
-        return adm
+    def _arc_set(self, direction: Direction) -> msbfs.ArcSet:
+        arcs = self._arcs.get(direction)
+        if arcs is None:
+            ego, alter, layer = self.net.nomination_arrays()
+            # a step u -> v reads nomination u -> v (DIRECTED) or v -> u
+            tail, head = (ego, alter) if direction is Direction.DIRECTED else (alter, ego)
+            arcs = self._arcs[direction] = msbfs.ArcSet(
+                self.n, tail=tail, head=head, layer=layer,
+                n_layers=len(self.net.registry))
+        return arcs
 
     def depths(self, direction: Direction, excluded_layer: int | None = None,
                validated_interior: bool = False) -> np.ndarray:
@@ -132,26 +133,11 @@ class PathwayAnalyzer:
         cached = self._depths.get(key)
         if cached is not None:
             return cached
-        adm = self.admissible_matrix(direction, excluded_layer).astype(np.float32)
-        n = self.n
-        depth = np.full((n, n), UNREACHED, dtype=np.uint8)
-        np.fill_diagonal(depth, 0)
-        reached = np.eye(n, dtype=bool)
-        frontier = reached.copy()
-        for d in range(1, self.kmax + 1):
-            expand = frontier
-            if validated_interior and d > 1:
-                # expansion nodes at depth >= 1 are path interiors
-                expand = frontier & self.validated[None, :]
-            nxt = (expand.astype(np.float32) @ adm) > 0
-            nxt &= ~reached
-            if not nxt.any():
-                break
-            depth[nxt] = d
-            reached |= nxt
-            frontier = nxt
-        self._depths[key] = depth
-        return depth
+        gather = self._arc_set(key[0]).gather(excluded_layer)
+        interior = self.validated if validated_interior else None
+        levels = np.stack(msbfs.levels(gather, self.n, self.kmax, interior))
+        self._depths[key] = levels
+        return levels
 
 
 def _validate_inputs(net: MultiplexNetwork, panel: VillagePanel, topic: str) -> None:
@@ -170,34 +156,43 @@ def exposure_table(net: MultiplexNetwork, panel: VillagePanel,
     Each configuration's counts are a length-n recarray with integer
     fields xi_layer, xi_rest and k_alters; row i is node i. Configurations
     sharing a direction (and, for PRIMARY, the validity mask) reuse cached
-    depth matrices.
+    level sets.
     """
     _validate_inputs(net, panel, topic)
-    if isinstance(cfgs, PathwayConfig):
-        cfgs = [cfgs]
+    cfgs = [cfgs] if isinstance(cfgs, PathwayConfig) else list(cfgs)
     if analyzer is None:
-        analyzer = PathwayAnalyzer(net, validated=panel.validated(topic))
-    intervened = panel.intervened(topic)
+        analyzer = PathwayAnalyzer(net, validated=panel.validated(topic),
+                                   kmax=max((cfg.k for cfg in cfgs), default=0))
+    iv = np.flatnonzero(panel.intervened(topic))
     out = []
     for cfg in cfgs:
         net._check_layer(cfg.layer)
+        if cfg.k > analyzer.kmax:
+            raise ConfigError(f"k = {cfg.k} exceeds the analyzer's kmax = {analyzer.kmax}")
         primary = cfg.mode is Mode.PRIMARY
-        base = analyzer.depths(cfg.direction)
-        member = (base == cfg.k) & intervened[None, :]
+        alters = _exactly(analyzer.depths(cfg.direction), cfg.k)
+        member = alters[iv]
         if primary:
-            member &= analyzer.depths(cfg.direction, validated_interior=True) == cfg.k
+            valid = _exactly(analyzer.depths(cfg.direction, validated_interior=True), cfg.k)
+            member &= valid[iv]
+            if n_follows_mode:
+                alters = valid
         # survival of an alternative length-k route is judged on the plain
-        # admissible graph in both modes; validity filters membership only
-        excl = analyzer.depths(cfg.direction, excluded_layer=cfg.layer)
-        critical = member & (excl != cfg.k)
-        xi_layer = critical.sum(axis=1)
-        xi_rest = member.sum(axis=1) - xi_layer
-        n_src = analyzer.depths(cfg.direction, validated_interior=True) \
-            if (primary and n_follows_mode) else base
-        k_alters = (n_src == cfg.k).sum(axis=1)
+        # admissible graph in both modes; validity filters membership only.
+        # The excluded graph's distances are never shorter, so a member
+        # keeps distance k there exactly when it is reached within k steps.
+        survives = analyzer.depths(cfg.direction, excluded_layer=cfg.layer)[cfg.k][iv]
+        xi_layer = msbfs.source_counts(member & ~survives, net.n)
+        xi_rest = msbfs.source_counts(member, net.n) - xi_layer
+        k_alters = msbfs.source_counts(alters, net.n)
         out.append((cfg, np.rec.fromarrays((xi_layer, xi_rest, k_alters),
                                            names=EXPOSURE_FIELDS)))
     return out
+
+
+def _exactly(levels: np.ndarray, k: int) -> np.ndarray:
+    """Row v holds the focal nodes whose admissible distance to v is k."""
+    return levels[k] & ~levels[k - 1]
 
 
 def exposure(net: MultiplexNetwork, panel: VillagePanel, focal: int,
@@ -222,10 +217,9 @@ def total_exposure(net: MultiplexNetwork, panel: VillagePanel, k: int, topic: st
     """
     _validate_inputs(net, panel, topic)
     if analyzer is None:
-        analyzer = PathwayAnalyzer(net, validated=panel.validated(topic))
-    base = analyzer.depths(direction)
-    member = (base == k) & panel.intervened(topic)[None, :]
-    return member.sum(axis=1)
+        analyzer = PathwayAnalyzer(net, kmax=k)
+    member = _exactly(analyzer.depths(direction), k)[panel.intervened(topic)]
+    return msbfs.source_counts(member, net.n)
 
 
 def k_alter_counts(net: MultiplexNetwork, k: int,
@@ -233,5 +227,5 @@ def k_alter_counts(net: MultiplexNetwork, k: int,
                    analyzer: PathwayAnalyzer | None = None) -> np.ndarray:
     """Number of k-degree alters per node regardless of treatment."""
     if analyzer is None:
-        analyzer = PathwayAnalyzer(net)
-    return (analyzer.depths(direction) == k).sum(axis=1)
+        analyzer = PathwayAnalyzer(net, kmax=k)
+    return msbfs.source_counts(_exactly(analyzer.depths(direction), k), net.n)

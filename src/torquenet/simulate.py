@@ -297,6 +297,12 @@ def assign_intervention(panel: VillagePanel, fraction: float, seed: int,
 # -- diffusion -------------------------------------------------------
 
 
+# Per-wave forgetting for scenarios that do not set one. With absorbing
+# knowledge and no forgetting every wave-1 knower is a wave-3 knower, which
+# separates k_w1 perfectly in the adoption model.
+SCENARIO_FORGET = 0.05
+
+
 @dataclass(frozen=True)
 class DiffusionConfig:
     """Independent-cascade parameters for one topic."""
@@ -426,7 +432,8 @@ class ExperimentConfig:
             raise ConfigError("village size range must satisfy 3 <= lo <= hi")
         if self.strategy not in ("random", "torque"):
             raise ConfigError("intervention strategy must be 'random' or 'torque'")
-        missing = {t: DiffusionConfig() for t in self.topics if t not in self.diffusion}
+        missing = {t: DiffusionConfig(forget=SCENARIO_FORGET)
+                   for t in self.topics if t not in self.diffusion}
         if missing:
             object.__setattr__(self, "diffusion", {**self.diffusion, **missing})
 
@@ -530,7 +537,7 @@ def end_to_end_experiment(config: ExperimentConfig, seed: int = 0,
             {name: {} for name in EXPOSURE_FIELDS + ("treated",)}
             for _ in range(nlay)]
         for key in keys:
-            analyzer = PathwayAnalyzer(nets[key],
+            analyzer = PathwayAnalyzer(nets[key], kmax=config.k,
                                        validated=panels[key].validated(topic))
             tables = exposure_table(nets[key], panels[key], cfgs, topic,
                                     analyzer=analyzer)

@@ -62,3 +62,21 @@ def quick_panel(n, village="v0", topic="t", treated=None, k1=None, k3=None,
         k_w1={topic: k1},
         k_w3={topic: np.asarray(k3, dtype=float)},
     )
+
+
+WORD_BOUNDARY_SIZES = (1, 2, 63, 64, 65, 129)
+
+
+def boundary_instances(rng, n_layers):
+    """(n, triples) around the 64-node word boundaries of packed bitsets.
+
+    Per size: a denser and a sparser instance, each with about one node in
+    eight left isolated, and an edgeless one.
+    """
+    for n in WORD_BOUNDARY_SIZES:
+        isolated = set(rng.choice(n, size=n // 8, replace=False).tolist())
+        for mean_out in (1.5, 0.6):
+            triples = random_triples(rng, n, n_layers, density=min(0.5, mean_out / n))
+            yield n, [t for t in triples
+                      if t[0] not in isolated and t[1] not in isolated]
+        yield n, []

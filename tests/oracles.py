@@ -172,12 +172,16 @@ def step_successors(noms, direction):
     return succ
 
 
-def step_distances(succ, source, n):
+def step_distances(succ, source, n, interior_ok=None):
+    """Admissible hop distances from source; interior_ok, when given, lets
+    only those nodes (and the source) pass the chain on."""
     dist = [INF] * n
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
+        if u != source and interior_ok is not None and not interior_ok[u]:
+            continue
         for w in succ.get(u, {}):
             if dist[w] == INF:
                 dist[w] = dist[u] + 1
@@ -210,23 +214,28 @@ def path_exists(succ, f, j, k, excluded=None, interior_ok=None):
 
 
 def exposure_by_enumeration(n, noms, treated, validated, layer, k, mode,
-                            direction):
+                            direction, focals=None, n_follows_mode=False):
     """(xi_layer, xi_rest, k_alters) per focal node, by path enumeration.
 
     Alter membership needs unrestricted admissible distance exactly k;
     primary mode additionally needs a length-k path with validated
     interiors. Criticality asks whether any length-k path avoids the
-    designated layer, with no validity filter in either mode.
+    designated layer, with no validity filter in either mode. k_alters
+    counts nodes at distance exactly k; with n_follows_mode in primary mode
+    the distance is over validated interiors only. focals defaults to
+    every node.
     """
     succ = step_successors(noms, direction)
+    gated = mode == "primary" and n_follows_mode
     out = []
-    for f in range(n):
+    for f in range(n) if focals is None else focals:
         dist = step_distances(succ, f, n)
+        alter_dist = step_distances(succ, f, n, validated) if gated else dist
         xi_l = xi_rest = alters = 0
         for j in range(n):
             if j == f:
                 continue
-            if dist[j] == k:
+            if alter_dist[j] == k:
                 alters += 1
             member = dist[j] == k and treated[j]
             if member and mode == "primary":

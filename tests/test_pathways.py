@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import network_from_triples, quick_panel, random_triples
+from helpers import (boundary_instances, network_from_triples, quick_panel,
+                     random_triples)
 from torquenet import (ConfigError, DataError, Direction, Mode,
                        PathwayAnalyzer, PathwayConfig, admissible_step,
                        exposure, exposure_table, k_alter_counts,
@@ -190,3 +191,35 @@ def test_input_validation():
         exposure(net, small, 5, PathwayConfig(0, 2), "t")
     with pytest.raises(DataError):
         exposure_table(net, small, PathwayConfig(0, 2), "missing")
+
+
+def test_word_boundary_sizes_match_enumeration():
+    # n around multiples of 64 puts focal nodes in the last, partly filled
+    # word; enumeration runs for a sample of focal nodes that includes the
+    # last one
+    rng = np.random.default_rng(35)
+    n_layers = 2
+    for n, triples in boundary_instances(rng, n_layers):
+        net = network_from_triples(triples, n, n_layers)
+        treated = rng.random(n) < 0.4
+        validated = rng.random(n) < 0.6
+        panel = _panel_with_flags(
+            n, np.flatnonzero(treated),
+            [i for i in np.flatnonzero(validated) if not treated[i]])
+        analyzer = PathwayAnalyzer(net, validated=panel.validated("t"))
+        focals = sorted({*rng.choice(n, size=min(n, 8), replace=False).tolist(), n - 1})
+        layer = int(rng.integers(n_layers))
+        for k in (2, 3, 4):
+            for direction in Direction:
+                for mode, follows in ((Mode.SECONDARY, False), (Mode.PRIMARY, False),
+                                      (Mode.PRIMARY, True)):
+                    cfg = PathwayConfig(layer, k, mode, direction)
+                    (_, records), = exposure_table(net, panel, cfg, "t",
+                                                   n_follows_mode=follows,
+                                                   analyzer=analyzer)
+                    want = oracles.exposure_by_enumeration(
+                        n, triples, panel.intervened("t"), panel.validated("t"),
+                        layer, k, mode.value, direction.value, focals=focals,
+                        n_follows_mode=follows)
+                    got = [(r.xi_layer, r.xi_rest, r.k_alters) for r in records[focals]]
+                    assert got == want, (n, cfg, follows)

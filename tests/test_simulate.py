@@ -274,6 +274,17 @@ def test_experiment_reports_failed_bootstrap_replicates():
     assert all(0 <= o.n_failed < 1000 for o in result.outcomes)
 
 
+def test_default_scenario_is_estimable():
+    # absorbing knowledge without forgetting makes every wave-1 knower a
+    # wave-3 knower, which separates k_w1; a topic without its own
+    # DiffusionConfig therefore gets the scenario files' forgetting
+    assert ExperimentConfig().diffusion["topic"].forget == 0.05
+    assert DiffusionConfig().forget == 0.0
+    for seed in (0, 1, 4):
+        result = end_to_end_experiment(ExperimentConfig(bootstrap_reps=0), seed=seed)
+        assert all(math.isfinite(o.reduction) for o in result.outcomes)
+
+
 def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(n_villages=0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import network_from_triples, random_triples
+from helpers import boundary_instances, network_from_triples, random_triples
 from torquenet import (INFINITE, DisconnectedPairError, SimpleGraph,
                        UndefinedStatisticError, all_pairs_distances,
                        criticality, network_torque, torque_all_layers)
@@ -115,3 +115,37 @@ def test_subset_layer_has_zero_torque():
         report = torque_all_layers(net)
         assert report.torque[0] == 0.0
         assert report.critical_pairs[0] == 0
+
+
+def test_word_boundary_sizes_match_recount():
+    # n around multiples of 64 puts sources in the last, partly filled word
+    rng = np.random.default_rng(24)
+    n_layers = 3
+    for n, triples in boundary_instances(rng, n_layers):
+        net = network_from_triples(triples, n, n_layers)
+        support = oracles.dyad_support(triples)
+        base = oracles.all_pairs_by_bfs(n, list(support))
+        want_dist = np.array([[INFINITE if d == oracles.INF else d for d in row]
+                              for row in base], dtype=np.uint16).reshape(n, n)
+        np.testing.assert_array_equal(all_pairs_distances(net.composite()), want_dist)
+        want = oracles.torque_by_recount(n, triples, n_layers)
+        if want[0][1] == 0:
+            with pytest.raises(UndefinedStatisticError):
+                torque_all_layers(net)
+            with pytest.raises(UndefinedStatisticError):
+                network_torque(net, 0)
+            continue
+        report = torque_all_layers(net)
+        assert report.connected_pairs == want[0][1]
+        assert report.critical_pairs == tuple(crit for crit, _ in want)
+        connected = [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if base[i][j] < oracles.INF]
+        sample = rng.choice(len(connected), size=min(15, len(connected)), replace=False)
+        for layer in range(n_layers):
+            crit, conn = want[layer]
+            assert network_torque(net, layer) == crit / conn
+            removed = oracles.all_pairs_by_bfs(
+                n, [d for d, sup in support.items() if sup - {layer}])
+            for s in sample:
+                i, j = connected[s]
+                assert criticality(net, layer, i, j) == int(removed[i][j] > base[i][j])
