@@ -11,8 +11,7 @@ from .errors import (CollinearityError, ConfigError, DataError,
                      DisconnectedPairError, FitError, IngestError,
                      PredictionError, SeparationError, TorquenetError,
                      UndefinedStatisticError, UnknownLayerError)
-from .graph import (DIR_FWD, DIR_REV, MultiplexNetwork, Nomination,
-                    SimpleGraph, build_network)
+from .graph import MultiplexNetwork, SimpleGraph, build_network
 from .layers import (CANONICAL_LAYER_NAMES, CANONICAL_REGISTRY,
                      KIN_LAYER_NAMES, LayerRegistry)
 from .metrics import (LayerStats, clustering, edge_betweenness,

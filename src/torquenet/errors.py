@@ -10,8 +10,8 @@ class TorquenetError(Exception):
     """Base class for all torquenet errors."""
 
 
-class IngestError(TorquenetError):
-    """Malformed or invalid input data; carries the offending location."""
+class _LocatedError(TorquenetError):
+    """An error that may carry the input line (or row index) it concerns."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -20,8 +20,13 @@ class IngestError(TorquenetError):
         super().__init__(message)
 
 
-class UnknownLayerError(TorquenetError):
-    """A layer name or id not present in the registry."""
+class IngestError(_LocatedError):
+    """Malformed or invalid input data; carries the offending location."""
+
+
+class UnknownLayerError(_LocatedError):
+    """A layer name or id not present in the registry; line, when known,
+    is the first input line that names it."""
 
 
 class UndefinedStatisticError(TorquenetError):

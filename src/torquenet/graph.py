@@ -1,10 +1,13 @@
-"""Core data model: directed layer-tagged nominations and derived graphs.
+"""Core data model: a village's collapsed nominations and derived graphs.
 
-A MultiplexNetwork stores nominations aggregated into a per-dyad index:
-for each unordered pair {u, v} (u < v) a mapping layer id -> direction
-bitmask, where bit 1 means u nominated v and bit 2 means v nominated u.
-Composite and layer-removed graphs are undirected; direction is retained
-only for the exposure computations that consume it.
+A MultiplexNetwork stores one village's nominations as three int64 arrays
+ego, alter and layer: entry i says that ego[i] named alter[i] on layer
+layer[i]. Duplicate triples are collapsed and the entries are sorted by
+(ego, alter, layer). Every other view is computed from these arrays when
+asked for. dyad_layers() forgets direction: it lists the distinct
+(u, v, layer) rows with u < v, the layers supporting each undirected dyad.
+Composite and layer graphs are undirected; direction matters only to the
+exposure counts and the diffusion cascade, which read the arrays.
 
 Layer removal is dyad-support removal: the undirected edge {u, v} survives
 removal of layer L unless L was the only layer supporting the dyad.
@@ -12,33 +15,19 @@ removal of layer L unless L was the only layer supporting the dyad.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 from .errors import IngestError, UnknownLayerError
 from .layers import LayerRegistry
 
-DIR_FWD = 1  # u -> v for the dyad key (u, v), u < v
-DIR_REV = 2  # v -> u
-
-
-@dataclass(frozen=True)
-class Nomination:
-    """One directed name-generator response: ego names alter on a layer."""
-
-    ego: int
-    alter: int
-    layer: int
-
 
 class SimpleGraph:
     """Undirected unweighted graph on dense node ids 0..n-1.
 
     Immutable after construction. Adjacency is stored both as sorted
-    neighbor lists (for BFS) and as a flat edge array (for bulk ops).
+    neighbor lists (for BFS) and as a sorted edge tuple (for bulk ops).
     """
 
     __slots__ = ("n", "edges", "_adj")
@@ -53,26 +42,8 @@ class SimpleGraph:
             adj[v].append(u)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self._adj[u]
-
-    def degree(self, u: int) -> int:
-        return len(self._adj[u])
-
-    def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self._adj], dtype=np.int64)
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense symmetric 0/1 matrix; fine for the village sizes in scope."""
-        a = np.zeros((self.n, self.n), dtype=np.uint8)
-        for u, v in self.edges:
-            a[u, v] = 1
-            a[v, u] = 1
-        return a
 
     def connected_components(self) -> np.ndarray:
         """Component label per node, labels dense in discovery order."""
@@ -93,142 +64,95 @@ class SimpleGraph:
         return labels
 
 
-class MultiplexNetwork:
-    """Aggregated nomination network for one village.
+def _unique_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray, n: int,
+                 n_layers: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct (a, b, c) rows, a and b < n and c < n_layers, sorted."""
+    n, n_layers = max(n, 1), max(n_layers, 1)
+    ab, c = np.divmod(np.unique((a * n + b) * n_layers + c), n_layers)
+    a, b = np.divmod(ab, n)
+    return a, b, c
 
-    dyads: dict keyed by (u, v) with u < v; values map layer id to a
-    direction bitmask (DIR_FWD / DIR_REV / both).
+
+class MultiplexNetwork:
+    """Collapsed nomination set of one village; build it with build_network.
+
+    ego, alter and layer are int64 arrays of equal length, one entry per
+    distinct directed nomination, sorted by (ego, alter, layer).
     """
 
-    __slots__ = ("n", "registry", "dyads", "nomination_count", "_out_by_layer")
+    __slots__ = ("n", "registry", "ego", "alter", "layer")
 
-    def __init__(self, n: int, registry: LayerRegistry,
-                 dyads: Mapping[tuple[int, int], Mapping[int, int]],
-                 nomination_count: int):
+    def __init__(self, n: int, registry: LayerRegistry, ego: np.ndarray,
+                 alter: np.ndarray, layer: np.ndarray):
         self.n = n
         self.registry = registry
-        self.dyads = {k: dict(v) for k, v in sorted(dyads.items())}
-        self.nomination_count = nomination_count
-        self._out_by_layer = None
+        self.ego, self.alter, self.layer = ego, alter, layer
 
-    # -- construction ------------------------------------------------
+    @property
+    def nomination_count(self) -> int:
+        return len(self.ego)
 
-    @staticmethod
-    def from_nominations(nominations: Iterable[Nomination], n: int,
-                         registry: LayerRegistry) -> "MultiplexNetwork":
-        dyads: dict[tuple[int, int], dict[int, int]] = {}
-        seen: set[tuple[int, int, int]] = set()
-        for row, nom in enumerate(nominations):
-            ego, alter, layer = nom.ego, nom.alter, nom.layer
-            if not (0 <= ego < n) or not (0 <= alter < n):
-                raise IngestError(
-                    f"node id out of range in nomination {ego}->{alter}", line=row)
-            if ego == alter:
-                raise IngestError(f"self-nomination by node {ego}", line=row)
-            if not (0 <= layer < len(registry)):
-                raise UnknownLayerError(f"layer id {layer} out of range")
-            key = (ego, alter, layer)
-            if key in seen:
-                continue
-            seen.add(key)
-            if ego < alter:
-                dyad, bit = (ego, alter), DIR_FWD
-            else:
-                dyad, bit = (alter, ego), DIR_REV
-            dyads.setdefault(dyad, {})[layer] = dyads.get(dyad, {}).get(layer, 0) | bit
-        return MultiplexNetwork(n, registry, dyads, nomination_count=len(seen))
+    def dyad_layers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, v, layer) arrays: each layer supporting the undirected dyad
+        {u, v}, u < v, once, sorted by (u, v, layer)."""
+        return _unique_rows(np.minimum(self.ego, self.alter),
+                            np.maximum(self.ego, self.alter), self.layer,
+                            self.n, len(self.registry))
 
     # -- derived graphs ----------------------------------------------
 
     def composite(self) -> SimpleGraph:
         """Undirected union over all layers and directions."""
-        return SimpleGraph(self.n, self.dyads.keys())
-
-    def composite_minus_layer(self, layer: int) -> SimpleGraph:
-        """Composite after dyad-support removal of one layer."""
-        self._check_layer(layer)
-        edges = [d for d, sup in self.dyads.items()
-                 if any(l != layer for l in sup)]
-        return SimpleGraph(self.n, edges)
+        u, v, _ = self.dyad_layers()
+        return SimpleGraph(self.n, zip(u.tolist(), v.tolist()))
 
     def layer_subgraph(self, layer: int) -> SimpleGraph:
         """Dyads supported by the given layer (either direction)."""
         self._check_layer(layer)
-        return SimpleGraph(self.n, [d for d, sup in self.dyads.items() if layer in sup])
-
-    # -- directed views ----------------------------------------------
-
-    def out_neighbors_by_layer(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """out[layer][ego] = sorted alters that ego nominated on that layer."""
-        if self._out_by_layer is None:
-            nlay = len(self.registry)
-            out: list[list[list[int]]] = [[[] for _ in range(self.n)] for _ in range(nlay)]
-            for (u, v), sup in self.dyads.items():
-                for layer, mask in sup.items():
-                    if mask & DIR_FWD:
-                        out[layer][u].append(v)
-                    if mask & DIR_REV:
-                        out[layer][v].append(u)
-            self._out_by_layer = tuple(
-                tuple(tuple(sorted(a)) for a in per_layer) for per_layer in out)
-        return self._out_by_layer
-
-    def nomination_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ego, alter, layer) int64 arrays, one entry per collapsed nomination."""
-        sups = self.dyads.values()
-        per_dyad = np.fromiter(map(len, sups), dtype=np.int64, count=len(sups))
-        uv = np.fromiter(chain.from_iterable(self.dyads), dtype=np.int64,
-                         count=2 * len(sups))
-        u, v = np.repeat(uv[0::2], per_dyad), np.repeat(uv[1::2], per_dyad)
-        layer = np.fromiter(chain.from_iterable(sups), dtype=np.int64)
-        mask = np.fromiter(chain.from_iterable(map(dict.values, sups)), dtype=np.int64)
-        fwd = (mask & DIR_FWD) > 0
-        rev = (mask & DIR_REV) > 0
-        return (np.concatenate([u[fwd], v[rev]]), np.concatenate([v[fwd], u[rev]]),
-                np.concatenate([layer[fwd], layer[rev]]))
-
-    def nominations(self) -> list[Nomination]:
-        """Recover the collapsed nomination set, deterministically ordered."""
-        noms = []
-        for (u, v), sup in self.dyads.items():
-            for layer, mask in sorted(sup.items()):
-                if mask & DIR_FWD:
-                    noms.append(Nomination(u, v, layer))
-                if mask & DIR_REV:
-                    noms.append(Nomination(v, u, layer))
-        noms.sort(key=lambda nm: (nm.ego, nm.alter, nm.layer))
-        return noms
+        u, v, lay = self.dyad_layers()
+        on = lay == layer
+        return SimpleGraph(self.n, zip(u[on].tolist(), v[on].tolist()))
 
     # -- counts ------------------------------------------------------
 
     def dyad_count(self) -> int:
-        return len(self.dyads)
+        u, v, _ = self.dyad_layers()
+        return len(np.unique(u * self.n + v))
 
     def layer_nomination_counts(self) -> np.ndarray:
         """Directed nomination count per layer (reciprocal dyads count twice)."""
-        counts = np.zeros(len(self.registry), dtype=np.int64)
-        for sup in self.dyads.values():
-            for layer, mask in sup.items():
-                counts[layer] += (1 if mask & DIR_FWD else 0) + (1 if mask & DIR_REV else 0)
-        return counts
+        return np.bincount(self.layer, minlength=len(self.registry))
 
     def layer_dyad_counts(self) -> np.ndarray:
-        counts = np.zeros(len(self.registry), dtype=np.int64)
-        for sup in self.dyads.values():
-            for layer in sup:
-                counts[layer] += 1
-        return counts
+        return np.bincount(self.dyad_layers()[2], minlength=len(self.registry))
 
     def _check_layer(self, layer: int) -> None:
         if not (0 <= layer < len(self.registry)):
             raise UnknownLayerError(f"layer id {layer} out of range")
 
 
-def build_network(nominations: Iterable[Nomination], n: int,
+def build_network(ego, alter, layer, n: int,
                   registry: LayerRegistry) -> MultiplexNetwork:
-    """Aggregate raw nominations into a MultiplexNetwork.
+    """Collapse raw nominations, given as three equal-length integer
+    sequences, into a MultiplexNetwork.
 
-    Duplicate triples collapse; self-nominations and out-of-range ids are
-    ingest errors naming the offending row.
+    Duplicate triples collapse. An out-of-range node id or a
+    self-nomination is an IngestError and an out-of-range layer id an
+    UnknownLayerError; either names the first offending index as its line.
     """
-    return MultiplexNetwork.from_nominations(nominations, n, registry)
+    ego, alter, layer = (np.asarray(a, dtype=np.int64).reshape(-1)
+                         for a in (ego, alter, layer))
+    if not len(ego) == len(alter) == len(layer):
+        raise IngestError("ego, alter and layer arrays differ in length")
+    bad_node = (ego < 0) | (ego >= n) | (alter < 0) | (alter >= n)
+    bad = bad_node | (ego == alter) | (layer < 0) | (layer >= len(registry))
+    if bad.any():
+        row = int(np.argmax(bad))
+        e, a, lay = int(ego[row]), int(alter[row]), int(layer[row])
+        if bad_node[row]:
+            raise IngestError(f"node id out of range in nomination {e}->{a}", line=row)
+        if e == a:
+            raise IngestError(f"self-nomination by node {e}", line=row)
+        raise UnknownLayerError(f"layer id {lay} out of range", line=row)
+    return MultiplexNetwork(n, registry, *_unique_rows(ego, alter, layer, n,
+                                                       len(registry)))

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, IngestError, UnknownLayerError
-from .graph import MultiplexNetwork, Nomination, build_network
+from .graph import MultiplexNetwork, build_network
 from .layers import LayerRegistry
 from .panel import COVARIATE_NAMES, VillagePanel
 from .pathways import Direction, Mode
@@ -64,6 +64,17 @@ class EdgeData:
     report: IngestReport
 
 
+def _non_utf8_line(path: str) -> int | None:
+    """Line of the first byte of path that is not UTF-8, if any."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return None
+
+
 def _read_csv_rows(path: str, expected_header: list[str] | None = None):
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -73,13 +84,18 @@ def _read_csv_rows(path: str, expected_header: list[str] | None = None):
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            if expected_header is not None and header != expected_header:
+                raise IngestError(
+                    f"{path}: bad header {','.join(header)!r}; "
+                    f"expected {','.join(expected_header)!r}")
+            rows = [(lineno, row) for lineno, row in enumerate(reader, start=2)]
         except StopIteration:
             raise IngestError(f"{path}: empty file, expected a header row") from None
-        if expected_header is not None and header != expected_header:
-            raise IngestError(
-                f"{path}: bad header {','.join(header)!r}; "
-                f"expected {','.join(expected_header)!r}")
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=2)]
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{path}: not UTF-8 text ({exc.reason})",
+                              line=_non_utf8_line(path)) from None
+        except csv.Error as exc:
+            raise IngestError(f"{path}: {exc}", line=reader.line_num) from None
     return header, rows
 
 
@@ -94,7 +110,7 @@ def load_edges(path: str, registry: LayerRegistry | None = None,
     """
     _, rows = _read_csv_rows(path, EDGE_HEADER)
     raw: dict[str, list[tuple[int, str, str, str]]] = {}
-    layer_names: set[str] = set()
+    layer_lines: dict[str, int] = {}  # layer name -> first line naming it
     for lineno, row in rows:
         if len(row) != 4:
             raise IngestError(f"expected 4 fields, got {len(row)}", line=lineno)
@@ -104,14 +120,16 @@ def load_edges(path: str, registry: LayerRegistry | None = None,
         if ego == alter:
             raise IngestError(f"self-nomination by {ego!r}", line=lineno)
         raw.setdefault(village, []).append((lineno, ego, alter, layer))
-        layer_names.add(layer)
+        layer_lines.setdefault(layer, lineno)
     if registry is None:
-        registry = LayerRegistry(tuple(sorted(layer_names)))
+        registry = LayerRegistry(tuple(sorted(layer_lines)))
     else:
-        unknown = layer_names - set(registry.names)
+        unknown = set(layer_lines) - set(registry.names)
         if unknown:
             raise UnknownLayerError(
-                f"unknown layers in {path}: {', '.join(sorted(unknown))}")
+                f"unknown layers in {path}: {', '.join(sorted(unknown))}",
+                line=min(layer_lines[name] for name in unknown))
+    layer_ids = {name: registry.id_of(name) for name in layer_lines}
     if node_universe is not None:
         missing = set(raw) - set(node_universe)
         if missing:
@@ -128,16 +146,18 @@ def load_edges(path: str, registry: LayerRegistry | None = None,
         else:
             names = list(node_universe[village])
         index = {name: i for i, name in enumerate(names)}
-        noms = []
-        for lineno, ego, alter, layer in vrows:
-            if ego not in index or alter not in index:
-                missing_node = ego if ego not in index else alter
-                raise DataError(
-                    f"line {lineno}: node {missing_node!r} has no attribute row "
-                    f"in village {village!r}")
-            noms.append(Nomination(index[ego], index[alter], registry.id_of(layer)))
-        net = build_network(noms, len(names), registry)
-        duplicates += len(noms) - net.nomination_count
+        try:
+            ego = np.fromiter((index[r[1]] for r in vrows), np.int64, len(vrows))
+            alter = np.fromiter((index[r[2]] for r in vrows), np.int64, len(vrows))
+        except KeyError:
+            lineno, missing_node = next((r[0], name) for r in vrows
+                                        for name in r[1:3] if name not in index)
+            raise DataError(
+                f"line {lineno}: node {missing_node!r} has no attribute row "
+                f"in village {village!r}") from None
+        layer = np.fromiter((layer_ids[r[3]] for r in vrows), np.int64, len(vrows))
+        net = build_network(ego, alter, layer, len(names), registry)
+        duplicates += len(vrows) - net.nomination_count
         networks[village] = net
         node_ids[village] = tuple(names)
     return EdgeData(
@@ -324,9 +344,9 @@ def write_edges_csv(path: str, networks: Mapping[str, MultiplexNetwork],
     for village in sorted(networks):
         net = networks[village]
         names = node_ids[village]
-        for nom in net.nominations():
-            rows.append([village, names[nom.ego], names[nom.alter],
-                         net.registry.name_of(nom.layer)])
+        layer_names = net.registry.names
+        rows += ([village, names[e], names[a], layer_names[lay]] for e, a, lay
+                 in zip(net.ego.tolist(), net.alter.tolist(), net.layer.tolist()))
     atomic_write_text(path, render_csv(EDGE_HEADER, rows))
 
 

@@ -102,13 +102,12 @@ def reachability(g: SimpleGraph) -> float:
 def monoplexity(net: MultiplexNetwork, layer: int) -> float:
     """Share of the layer's dyads supported by that layer alone."""
     net._check_layer(layer)
-    supported = 0
-    alone = 0
-    for sup in net.dyads.values():
-        if layer in sup:
-            supported += 1
-            if len(sup) == 1:
-                alone += 1
+    u, v, lay = net.dyad_layers()
+    _, dyad, support = np.unique(u * net.n + v, return_inverse=True,
+                                 return_counts=True)
+    on = lay == layer
+    supported = int(np.count_nonzero(on))
+    alone = int(np.count_nonzero(on & (support[dyad] == 1)))
     if supported == 0:
         raise UndefinedStatisticError(
             f"monoplexity undefined: layer {net.registry.name_of(layer)} has no dyads")
@@ -166,13 +165,15 @@ def layer_mean_betweenness(net: MultiplexNetwork, layer: int,
     same village; otherwise they are computed here.
     """
     net._check_layer(layer)
-    dyads = [d for d, sup in net.dyads.items() if layer in sup]
-    if not dyads:
+    u, v, lay = net.dyad_layers()
+    on = lay == layer
+    edges = list(zip(u[on].tolist(), v[on].tolist()))
+    if not edges:
         raise UndefinedStatisticError(
             f"betweenness undefined: layer {net.registry.name_of(layer)} has no dyads")
     if scores is None:
         scores = edge_betweenness(net.composite())
-    return float(np.mean([float(scores[d]) for d in dyads]))
+    return float(np.mean([float(scores[e]) for e in edges]))
 
 
 def layer_stats(net: MultiplexNetwork, layer: int,
@@ -180,7 +181,7 @@ def layer_stats(net: MultiplexNetwork, layer: int,
     """Bundle of all per-layer descriptives; undefined entries become NaN."""
     sub = net.layer_subgraph(layer)
     noms = int(net.layer_nomination_counts()[layer])
-    dyads = int(net.layer_dyad_counts()[layer])
+    n_dyads = int(net.layer_dyad_counts()[layer])
     try:
         prev = prevalence(net, layer)
     except UndefinedStatisticError:
@@ -204,6 +205,6 @@ def layer_stats(net: MultiplexNetwork, layer: int,
         reachability=reach,
         monoplexity=mono,
         mean_edge_betweenness=betw,
-        dyads=dyads,
+        dyads=n_dyads,
         nominations=noms,
     )

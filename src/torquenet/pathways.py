@@ -40,7 +40,7 @@ import numpy as np
 
 from . import msbfs
 from .errors import ConfigError, DataError
-from .graph import DIR_FWD, DIR_REV, MultiplexNetwork
+from .graph import MultiplexNetwork
 from .panel import VillagePanel
 
 K_CHOICES = (2, 3, 4)
@@ -86,12 +86,8 @@ def admissible_step(net: MultiplexNetwork, u: int, v: int, direction: Direction,
         return False
     direction = Direction(direction)
     ego, alter = (u, v) if direction is Direction.DIRECTED else (v, u)
-    key = (ego, alter) if ego < alter else (alter, ego)
-    bit = DIR_FWD if ego < alter else DIR_REV
-    sup = net.dyads.get(key)
-    if not sup:
-        return False
-    return any(mask & bit and layer != excluded_layer for layer, mask in sup.items())
+    layers = net.layer[(net.ego == ego) & (net.alter == alter)]
+    return any(layer != excluded_layer for layer in layers.tolist())
 
 
 class PathwayAnalyzer:
@@ -119,11 +115,12 @@ class PathwayAnalyzer:
     def _arc_set(self, direction: Direction) -> msbfs.ArcSet:
         arcs = self._arcs.get(direction)
         if arcs is None:
-            ego, alter, layer = self.net.nomination_arrays()
+            net = self.net
             # a step u -> v reads nomination u -> v (DIRECTED) or v -> u
-            tail, head = (ego, alter) if direction is Direction.DIRECTED else (alter, ego)
+            tail, head = ((net.ego, net.alter) if direction is Direction.DIRECTED
+                          else (net.alter, net.ego))
             arcs = self._arcs[direction] = msbfs.ArcSet(
-                self.n, tail=tail, head=head, layer=layer,
+                self.n, tail=tail, head=head, layer=net.layer,
                 n_layers=len(self.net.registry))
         return arcs
 

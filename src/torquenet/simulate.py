@@ -25,7 +25,7 @@ from scipy.special import stdtr
 from .contagion import (build_frame, counterfactual_reduction, fit_frame,
                         reduction_point)
 from .errors import ConfigError, DataError
-from .graph import MultiplexNetwork, Nomination, build_network
+from .graph import MultiplexNetwork, build_network
 from .layers import CANONICAL_LAYER_NAMES, KIN_LAYER_NAMES, LayerRegistry
 from .panel import VillagePanel
 from .pathways import (EXPOSURE_FIELDS, Direction, Mode, PathwayAnalyzer,
@@ -119,10 +119,14 @@ def _generate_village_rng(cfg: VillageGenConfig, rng: np.random.Generator, *,
     household = np.zeros(n, dtype=np.int64)
     is_adult = np.zeros(n, dtype=bool)
     kin_pairs: set[tuple[int, int]] = set()
-    noms: list[Nomination] = []
+    egos: list[int] = []
+    alters: list[int] = []
+    layers: list[int] = []
 
     def nominate(ego: int, alter: int, layer_name: str) -> None:
-        noms.append(Nomination(ego, alter, registry.id_of(layer_name)))
+        egos.append(ego)
+        alters.append(alter)
+        layers.append(registry.id_of(layer_name))
 
     # -- kin layers from household blocks -----------------------------
     start = 0
@@ -199,14 +203,11 @@ def _generate_village_rng(cfg: VillageGenConfig, rng: np.random.Generator, *,
                 nominate(int(ego), alter, lname)
                 indeg[alter] += 1.0
 
-    net = build_network(noms, n, registry)
+    net = build_network(egos, alters, layers, n, registry)
 
     # -- covariates ---------------------------------------------------
-    incidences = np.zeros(n, dtype=np.int64)
-    for (u, v), sup in net.dyads.items():
-        k = len(sup)
-        incidences[u] += k
-        incidences[v] += k
+    u, v, _ = net.dyad_layers()
+    incidences = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
     age = np.where(is_adult,
                    np.clip(rng.normal(38, 9, n), 18, 85),
                    np.clip(rng.normal(13, 4, n), 2, 17)).round(1)
@@ -272,11 +273,12 @@ def torque_guided_treated(net: MultiplexNetwork, household: np.ndarray,
     def order() -> np.ndarray:
         report = torque_all_layers(net)
         top_layer = int(np.argmax(report.torque))
-        incident = np.zeros(len(household), dtype=np.int64)
-        for (u, v), sup in net.dyads.items():
-            if set(sup) == {top_layer}:
-                incident[u] += 1
-                incident[v] += 1
+        u, v, lay = net.dyad_layers()
+        _, dyad, support = np.unique(u * net.n + v, return_inverse=True,
+                                     return_counts=True)
+        alone = (lay == top_layer) & (support[dyad] == 1)
+        incident = (np.bincount(u[alone], minlength=len(household))
+                    + np.bincount(v[alone], minlength=len(household)))
         hh_ids = np.unique(household)
         hh_score = np.array([incident[household == hh].sum() for hh in hh_ids])
         jitter = rng.random(len(hh_ids))
@@ -336,37 +338,24 @@ def _layer_prob_vector(net: MultiplexNetwork, dcfg: DiffusionConfig) -> np.ndarr
 def _cascade(net: MultiplexNetwork, knows0: np.ndarray, probs: np.ndarray,
              rounds: int, rng: np.random.Generator) -> np.ndarray:
     """Absorbing cascade: a newly knowledgeable node tries once to inform
-    each ego that nominated it, per supporting layer."""
-    n = net.n
-    out = net.out_neighbors_by_layer()
-    # nominators[l][b] = egos that nominated b on layer l (whom b can inform)
-    nominators: list[list[list[int]]] = [
-        [[] for _ in range(n)] for _ in range(len(net.registry))]
-    for layer, per_node in enumerate(out):
-        if probs[layer] == 0.0:
-            continue
-        for ego, alters in enumerate(per_node):
-            for alter in alters:
-                nominators[layer][alter].append(ego)
-    knows = knows0.copy()
-    frontier = sorted(np.flatnonzero(knows))
+    each ego that nominated it, per supporting layer.
+
+    Each round draws one uniform per arc whose alter joined in the last
+    round, whose layer transmits and whose ego does not know yet, in
+    (alter, layer, ego) order.
+    """
+    order = np.lexsort((net.ego, net.layer, net.alter))
+    ego, alter, p = net.ego[order], net.alter[order], probs[net.layer[order]]
+    knows = np.array(knows0, dtype=bool)
+    frontier = knows.copy()
     for _ in range(rounds):
-        if not frontier:
+        live = frontier[alter] & (p > 0.0) & ~knows[ego]
+        hit = ego[live][rng.random(int(np.count_nonzero(live))) < p[live]]
+        if not len(hit):
             break
-        newly: set[int] = set()
-        for b in frontier:
-            for layer in range(len(net.registry)):
-                p = probs[layer]
-                if p == 0.0:
-                    continue
-                for a in nominators[layer][b]:
-                    if not knows[a] and rng.random() < p:
-                        newly.add(a)
-        if not newly:
-            break
-        idx = sorted(newly)
-        knows[idx] = True
-        frontier = idx
+        frontier[:] = False
+        frontier[hit] = True
+        knows |= frontier
     return knows
 
 

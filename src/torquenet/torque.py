@@ -40,8 +40,7 @@ def _undirected(n: int, a: np.ndarray, b: np.ndarray, layer: np.ndarray,
 
 def _composite(net: MultiplexNetwork) -> tuple[msbfs.ArcSet, list[np.ndarray]]:
     """The dyads with their layer support, and the composite's level sets."""
-    ego, alter, layer = net.nomination_arrays()
-    arcs = _undirected(net.n, ego, alter, layer, len(net.registry))
+    arcs = _undirected(net.n, net.ego, net.alter, net.layer, len(net.registry))
     return arcs, msbfs.levels(arcs.gather(), net.n)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from torquenet import LayerRegistry, Nomination, VillagePanel, build_network
+from torquenet import LayerRegistry, VillagePanel, build_network
 
 
 def generic_registry(n_layers):
@@ -26,8 +26,13 @@ def random_triples(rng, n, n_layers, density=None):
 
 
 def network_from_triples(triples, n, n_layers):
-    noms = [Nomination(e, a, l) for e, a, l in triples]
-    return build_network(noms, n, generic_registry(n_layers))
+    ego, alter, layer = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    return build_network(ego, alter, layer, n, generic_registry(n_layers))
+
+
+def triples_of(net):
+    """The network's collapsed nominations as (ego, alter, layer) tuples."""
+    return list(zip(net.ego.tolist(), net.alter.tolist(), net.layer.tolist()))
 
 
 def quick_panel(n, village="v0", topic="t", treated=None, k1=None, k3=None,

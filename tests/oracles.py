@@ -250,6 +250,41 @@ def exposure_by_enumeration(n, noms, treated, validated, layer, k, mode,
     return out
 
 
+# -- diffusion cascade by scalar draws ------------------------------
+
+
+def cascade_by_loop(n, noms, n_layers, knows0, probs, rounds, rng):
+    """Absorbing independent cascade, one scalar draw per attempt.
+
+    Each round, every node that joined in the previous round (ascending),
+    on every layer with p > 0 (ascending), tries to inform each ego that
+    nominated it on that layer (ascending) and does not know yet.
+    """
+    nominators = [[[] for _ in range(n)] for _ in range(n_layers)]
+    for ego, alter, layer in sorted(set(noms)):
+        nominators[layer][alter].append(ego)
+    knows = [bool(x) for x in knows0]
+    frontier = [v for v in range(n) if knows[v]]
+    for _ in range(rounds):
+        if not frontier:
+            break
+        newly = set()
+        for b in frontier:
+            for layer in range(n_layers):
+                p = probs[layer]
+                if p == 0.0:
+                    continue
+                for a in nominators[layer][b]:
+                    if not knows[a] and rng.random() < p:
+                        newly.add(a)
+        if not newly:
+            break
+        frontier = sorted(newly)
+        for a in frontier:
+            knows[a] = True
+    return knows
+
+
 # -- numerics --------------------------------------------------------
 
 

@@ -1,28 +1,19 @@
-"""Dyad bookkeeping, layer removal, and composite projection."""
+"""Collapsed nomination arrays, layer removal, and composite projection."""
 
 import numpy as np
 import pytest
 
 import oracles
-from helpers import generic_registry, network_from_triples, random_triples
-from torquenet import (DIR_FWD, DIR_REV, IngestError, LayerRegistry,
-                       Nomination, SimpleGraph, UnknownLayerError,
-                       build_network)
+from helpers import (generic_registry, network_from_triples, random_triples,
+                     triples_of)
+from torquenet import (IngestError, LayerRegistry, SimpleGraph,
+                       UnknownLayerError, build_network, criticality)
 
 
 def test_simple_graph_normalizes_edges():
     g = SimpleGraph(4, [(1, 0), (0, 1), (2, 3), (3, 3)])
     assert g.edges == ((0, 1), (2, 3))
-    assert g.edge_count == 2
-    assert g.neighbors(0) == (1,)
-    assert g.neighbors(3) == (2,)
-    assert list(g.degrees()) == [1, 1, 1, 1]
-
-
-def test_adjacency_matrix_is_symmetric():
-    g = SimpleGraph(3, [(0, 1), (1, 2)])
-    a = g.adjacency_matrix()
-    assert a.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    assert [g.neighbors(u) for u in range(4)] == [(1,), (0,), (3,), (2,)]
 
 
 def test_connected_components_labels():
@@ -33,36 +24,52 @@ def test_connected_components_labels():
     assert labels[0] != labels[3]
 
 
-def test_direction_bits_per_dyad():
-    net = network_from_triples([(0, 1, 0), (2, 1, 0)], 3, 1)
-    # dyad keys are ordered pairs; bit 1 means low-id -> high-id
-    assert net.dyads[(0, 1)][0] == DIR_FWD
-    assert net.dyads[(1, 2)][0] == DIR_REV
-    both = network_from_triples([(0, 1, 0), (1, 0, 0)], 2, 1)
-    assert both.dyads[(0, 1)][0] == DIR_FWD | DIR_REV
+def test_direction_kept_per_nomination():
+    net = network_from_triples([(2, 1, 0), (0, 1, 0)], 3, 1)
+    # nominations keep their direction; dyad_layers forgets it (u < v)
+    assert triples_of(net) == [(0, 1, 0), (2, 1, 0)]
+    assert [a.tolist() for a in net.dyad_layers()] == [[0, 1], [1, 2], [0, 0]]
+    both = network_from_triples([(1, 0, 0), (0, 1, 0)], 2, 1)
+    assert triples_of(both) == [(0, 1, 0), (1, 0, 0)]
+    assert [a.tolist() for a in both.dyad_layers()] == [[0], [1], [0]]
 
 
 def test_duplicate_nominations_collapse():
     net = network_from_triples([(0, 1, 0), (0, 1, 0), (0, 1, 0)], 2, 1)
     assert net.nomination_count == 1
     assert net.dyad_count() == 1
+    assert triples_of(net) == [(0, 1, 0)]
 
 
 def test_self_nomination_rejected_with_row_number():
     # in-memory rows are indexed from zero
-    noms = [Nomination(0, 1, 0), Nomination(2, 2, 0)]
-    with pytest.raises(IngestError, match="line 1"):
-        build_network(noms, 3, generic_registry(1))
+    with pytest.raises(IngestError, match="line 1") as err:
+        build_network([0, 2, 1], [1, 2, 0], [0, 0, 0], 3, generic_registry(1))
+    assert err.value.line == 1
 
 
 def test_out_of_range_node_rejected():
-    with pytest.raises(IngestError):
-        build_network([Nomination(0, 5, 0)], 3, generic_registry(1))
+    with pytest.raises(IngestError) as err:
+        build_network([0, 1, 0], [1, 0, 5], [0, 0, 0], 3, generic_registry(1))
+    assert err.value.line == 2
+    with pytest.raises(IngestError, match="line 0"):
+        build_network([-1], [0], [0], 3, generic_registry(1))
 
 
 def test_unknown_layer_rejected():
+    with pytest.raises(UnknownLayerError) as err:
+        build_network([0, 0], [1, 2], [1, 7], 3, generic_registry(2))
+    assert err.value.line == 1
+    # the first offending row decides the error, whatever its kind
     with pytest.raises(UnknownLayerError):
-        build_network([Nomination(0, 1, 7)], 3, generic_registry(2))
+        build_network([0, 1], [1, 1], [-1, 0], 3, generic_registry(2))
+    with pytest.raises(IngestError):
+        build_network([0, 1], [1, 1], [0, 7], 3, generic_registry(2))
+
+
+def test_nomination_arrays_must_align():
+    with pytest.raises(IngestError):
+        build_network([0, 1], [1], [0, 0], 3, generic_registry(1))
 
 
 def test_layer_removal_respects_remaining_support():
@@ -70,8 +77,9 @@ def test_layer_removal_respects_remaining_support():
     net = network_from_triples(
         [(0, 1, 0), (1, 2, 0), (0, 1, 1), (2, 3, 1)], 4, 2)
     assert net.composite().edges == ((0, 1), (1, 2), (2, 3))
-    assert net.composite_minus_layer(0).edges == ((0, 1), (2, 3))
-    assert net.composite_minus_layer(1).edges == ((0, 1), (1, 2))
+    # removing a layer cuts only the dyads it alone supports
+    assert [criticality(net, 0, i, j) for i, j in net.composite().edges] == [0, 1, 0]
+    assert [criticality(net, 1, i, j) for i, j in net.composite().edges] == [0, 0, 1]
 
 
 def test_layer_subgraph_keeps_only_that_layer():
@@ -87,22 +95,30 @@ def test_nominations_round_trip():
         n = int(rng.integers(2, 9))
         n_layers = int(rng.integers(1, 4))
         triples = random_triples(rng, n, n_layers)
-        net = network_from_triples(triples, n, n_layers)
-        back = {(m.ego, m.alter, m.layer) for m in net.nominations()}
-        assert back == set(triples)
+        # shuffled and doubled input collapses to the sorted distinct set
+        doubled = triples + triples[::2]
+        order = rng.permutation(len(doubled))
+        net = network_from_triples([doubled[i] for i in order], n, n_layers)
+        assert triples_of(net) == sorted(set(triples))
         assert net.nomination_count == len(set(triples))
+        assert all(a.dtype == np.int64 for a in (net.ego, net.alter, net.layer))
 
 
-def test_out_neighbors_by_layer_matches_nominations():
+def test_dyad_layers_match_support_on_random_instances():
     rng = np.random.default_rng(6)
-    triples = random_triples(rng, 7, 3, density=0.3)
-    net = network_from_triples(triples, 7, 3)
-    out = net.out_neighbors_by_layer()
-    listed = {(ego, alter, layer)
-              for layer in range(3)
-              for ego in range(7)
-              for alter in out[layer][ego]}
-    assert listed == set(triples)
+    for _ in range(20):
+        n = int(rng.integers(2, 10))
+        n_layers = int(rng.integers(1, 5))
+        triples = random_triples(rng, n, n_layers)
+        net = network_from_triples(triples, n, n_layers)
+        support = oracles.dyad_support(triples)
+        want = sorted((u, v, layer) for (u, v), sup in support.items() for layer in sup)
+        assert list(zip(*(a.tolist() for a in net.dyad_layers()))) == want
+        assert net.dyad_count() == len(support)
+        assert list(net.layer_dyad_counts()) == [
+            sum(layer in sup for sup in support.values()) for layer in range(n_layers)]
+        assert list(net.layer_nomination_counts()) == [
+            sum(t[2] == layer for t in triples) for layer in range(n_layers)]
 
 
 def test_layer_counts():
@@ -122,12 +138,14 @@ def test_composite_matches_dyad_support_on_random_instances():
         support = oracles.dyad_support(triples)
         assert set(net.composite().edges) == set(support)
         for layer in range(n_layers):
-            kept = {d for d, sup in support.items() if sup - {layer}}
-            assert set(net.composite_minus_layer(layer).edges) == kept
+            carried = {d for d, sup in support.items() if layer in sup}
+            assert set(net.layer_subgraph(layer).edges) == carried
 
 
 def test_empty_registry_allowed():
     reg = LayerRegistry(())
     assert len(reg) == 0
-    net = build_network([], 3, reg)
+    net = build_network([], [], [], 3, reg)
     assert net.composite().edges == ()
+    assert net.nomination_count == net.dyad_count() == 0
+    assert list(net.layer_nomination_counts()) == list(net.layer_dyad_counts()) == []

@@ -19,6 +19,7 @@ import torquenet
 from torquenet import io as tio
 from torquenet.cli import THREADS_ENV, main
 
+from helpers import triples_of
 from test_acceptance import STABLE_SCENARIO
 
 
@@ -132,6 +133,42 @@ def test_load_edges_registry_mismatch(small_files):
     assert data.registry.names == ("trust", "advice", "z")
 
 
+def test_load_edges_unknown_layer_names_first_line(small_files):
+    edges, _ = small_files
+    # "advice" first appears on line 3 (the header is line 1)
+    with pytest.raises(UnknownLayerError, match="line 3: unknown layers") as err:
+        tio.load_edges(edges, registry=LayerRegistry(("trust",)))
+    assert err.value.line == 3
+
+
+def test_non_utf8_input_is_an_ingest_error(tmp_path, small_files, capsys):
+    _, attrs = small_files
+    edges = tmp_path / "e.csv"
+    edges.write_bytes(b"village,ego,alter,layer\nv1,a,b,\xff\n")
+    with pytest.raises(IngestError, match="e.csv: not UTF-8") as err:
+        tio.load_edges(str(edges))
+    assert err.value.line == 2
+    bad_attrs = tmp_path / "a.csv"
+    lines = ATTRS_SMALL.encode().split(b"\n")
+    lines[3] = lines[3].replace(b"v1,c", b"v1,\xe9c")
+    bad_attrs.write_bytes(b"\n".join(lines))
+    with pytest.raises(IngestError, match="a.csv: not UTF-8") as err:
+        tio.load_attributes(str(bad_attrs))
+    assert err.value.line == 4
+    code, out, err_text = _run(capsys, ["torque", "--edges", str(edges),
+                                        "--out-dir", str(tmp_path)])
+    assert code == 1 and out == "" and "not UTF-8" in err_text
+
+
+def test_oversized_cell_is_an_ingest_error(tmp_path):
+    # the csv module refuses cells over its field size limit (128 KiB)
+    edges = tmp_path / "big.csv"
+    edges.write_text("village,ego,alter,layer\nv,a,b,l\nv,a," + "b" * 200_000 + ",l\n")
+    with pytest.raises(IngestError, match="big.csv: field larger") as err:
+        tio.load_edges(str(edges))
+    assert err.value.line == 3
+
+
 def test_load_attributes_infers_topics(small_files):
     _, attrs = small_files
     panels = tio.load_attributes(attrs)
@@ -214,7 +251,7 @@ def test_simulated_dataset_round_trips(sim_files):
     for village, net in nets.items():
         back = data.networks[village]
         assert back.registry.names == net.registry.names
-        assert back.nominations() == net.nominations()
+        assert triples_of(back) == triples_of(net)
     for village, panel in panels.items():
         got = loaded[village]
         assert got.nodes == panel.nodes

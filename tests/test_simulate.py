@@ -12,6 +12,8 @@ from torquenet import (ChainLayerSpec, ConfigError, DiffusionConfig,
                        end_to_end_experiment, exposure_table, fit_frame,
                        generate_village, simulate_diffusion,
                        torque_guided_treated)
+import oracles
+from helpers import triples_of
 from torquenet.layers import KIN_LAYER_NAMES
 from torquenet.simulate import _cascade, _rng
 
@@ -35,11 +37,11 @@ def test_generation_is_reproducible():
     cfg = _small_cfg()
     net1, panel1 = generate_village(cfg, seed=4, n=50)
     net2, panel2 = generate_village(cfg, seed=4, n=50)
-    assert net1.nominations() == net2.nominations()
+    assert triples_of(net1) == triples_of(net2)
     assert np.array_equal(panel1.household, panel2.household)
     assert np.array_equal(panel1.age, panel2.age)
     net3, _ = generate_village(cfg, seed=5, n=50)
-    assert net1.nominations() != net3.nominations()
+    assert triples_of(net1) != triples_of(net3)
 
 
 def test_negative_seed_rejected():
@@ -54,10 +56,10 @@ def test_household_kin_structure():
     assert reg.names == KIN_LAYER_NAMES
     households = panel.household
     by_layer = {name: set() for name in reg.names}
-    for nom in net.nominations():
-        by_layer[reg.name_of(nom.layer)].add((nom.ego, nom.alter))
+    for ego, alter, layer in triples_of(net):
+        by_layer[reg.name_of(layer)].add((ego, alter))
         # kin never crosses household boundaries
-        assert households[nom.ego] == households[nom.alter]
+        assert households[ego] == households[alter]
     for ego, alter in by_layer["partner"]:
         assert (alter, ego) in by_layer["partner"]
     for ego, alter in by_layer["sibling"]:
@@ -82,14 +84,13 @@ def test_closest_friend_avoids_kin():
     cf = reg.id_of("closest_friend")
     ft = reg.id_of("free_time")
     # closest-friend nominations never land inside a household
-    for nom in net.nominations():
-        if nom.layer == cf:
-            assert panel.household[nom.ego] != panel.household[nom.alter]
+    for ego, alter, layer in triples_of(net):
+        if layer == cf:
+            assert panel.household[ego] != panel.household[alter]
     # the restriction is specific to closest_friend, so at this volume the
     # unrestricted twin layer should hit at least one within-household pair
-    same_hh = sum(1 for nom in net.nominations()
-                  if nom.layer == ft
-                  and panel.household[nom.ego] == panel.household[nom.alter])
+    same_hh = sum(1 for ego, alter, layer in triples_of(net)
+                  if layer == ft and panel.household[ego] == panel.household[alter])
     assert same_hh > 0
 
 
@@ -109,7 +110,7 @@ def test_friend_chain_volume():
 def test_sociability_counts_dyad_layer_incidences():
     net, panel = generate_village(_small_cfg(), seed=11, n=40)
     want = np.zeros(40)
-    for (u, v), sup in net.dyads.items():
+    for (u, v), sup in oracles.dyad_support(triples_of(net)).items():
         want[u] += len(sup)
         want[v] += len(sup)
     assert np.array_equal(panel.sociability, want)
@@ -164,6 +165,35 @@ def test_cascade_probability_extremes():
     # rounds cap limits the reach
     short = _cascade(net, seed_last, np.array([1.0]), 2, _rng(1, 7))
     assert list(short) == [False, False, False, True, True, True]
+
+
+def test_cascade_matches_scalar_loop():
+    from helpers import network_from_triples, random_triples
+
+    rng = np.random.default_rng(21)
+    for case in range(40):
+        n = int(rng.integers(2, 30))
+        n_layers = int(rng.integers(1, 5))
+        triples = random_triples(rng, n, n_layers, density=float(rng.uniform(0.02, 0.3)))
+        # one ego naming the same alter on several layers, listed twice
+        if n > 2:
+            triples += [(0, 1, layer) for layer in range(n_layers)] * 2
+        net = network_from_triples(triples, n, n_layers)
+        probs = rng.choice([0.0, 0.3, 0.7, 1.0], size=n_layers)
+        if case % 4 == 0:
+            probs[0] = 0.0
+        knows0 = rng.random(n) < 0.15
+        for rounds in (0, 1, 2, 6):
+            seed = int(rng.integers(1 << 30))
+            got = _cascade(net, knows0, probs, rounds, np.random.default_rng(seed))
+            want_rng = np.random.default_rng(seed)
+            want = oracles.cascade_by_loop(n, triples, n_layers, knows0, probs,
+                                           rounds, want_rng)
+            assert got.tolist() == want
+            # the same draws in the same order: the streams end in step
+            ahead = np.random.default_rng(seed)
+            _cascade(net, knows0, probs, rounds, ahead)
+            assert ahead.random() == want_rng.random()
 
 
 def test_simulate_diffusion_fills_waves():
@@ -221,7 +251,7 @@ def test_build_villages_thread_invariant():
     nets4, panels4 = build_villages(config, seed=5, threads=4)
     assert sorted(nets1) == sorted(nets4)
     for key in nets1:
-        assert nets1[key].nominations() == nets4[key].nominations()
+        assert triples_of(nets1[key]) == triples_of(nets4[key])
         assert np.array_equal(np.asarray(panels1[key].k_w3["topic"]),
                               np.asarray(panels4[key].k_w3["topic"]))
 
