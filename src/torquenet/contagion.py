@@ -4,10 +4,19 @@ counterfactual layer-removal predictions.
 The regression stacks all villages: logit P(y = 1) = b0 + b1 * early
 knowledge + exposure terms + covariates + per-village intercept shifts
 (first village in sort order is the reference). Fitting is Newton ascent
-with step halving on the exact log-likelihood; case weights support the
-cluster bootstrap, where resampling villages with replacement is realized
-as integer village weights (duplicated clusters contribute multiplied
-log-likelihood terms, which is the same maximum).
+with step halving on the exact log-likelihood. The full-sample fit carries
+the intercept and the village dummies as columns of the design.
+
+The cluster bootstrap resamples villages with replacement, realized as
+integer case weights on the rows of the villages drawn (a duplicated
+cluster contributes multiplied log-likelihood terms, which is the same
+maximum). Its refits absorb the village effects: one effect per drawn
+village is kept outside the design, and newton_logit solves each step
+through the Schur complement of the diagonal village block. That only
+reparametrises the model. The stopping rule and the separation check read
+the effects as an intercept (the lowest drawn village) plus contrasts, so
+the estimates, predictions, reductions and failure rules are those of a
+refit on the dummy design, up to rounding.
 """
 
 from __future__ import annotations
@@ -148,39 +157,44 @@ def check_collinearity(X: np.ndarray, columns: Sequence[str]) -> None:
 def newton_logit(X: np.ndarray, y: np.ndarray, *, weights: np.ndarray | None = None,
                  start: np.ndarray | None = None,
                  columns: Sequence[str] | None = None,
+                 groups: np.ndarray | None = None,
                  max_iter: int = _MAX_ITER):
     """Maximum-likelihood logit via Newton steps with step halving.
 
     Returns (beta, covariance, loglik, iterations, grad_max). Converged
     means the log-likelihood moved less than 1e-10 over the last step and
     the gradient max-norm is below 1e-8; anything else raises.
+
+    groups, if given, holds one nondecreasing integer code per row, and
+    every distinct code gets its own intercept, absorbed instead of carried
+    as a dummy column: X then holds only the other columns, and start,
+    columns, beta and the covariance run over X's columns followed by one
+    effect per group in code order. See _Design for how the stopping rule
+    and the separation check read the group effects.
     """
-    n, p = X.shape
+    design = _Design(X, groups)
+    k = design.k
     if columns is None:
-        columns = tuple(f"x{j}" for j in range(p))
-    beta = np.zeros(p) if start is None else np.array(start, dtype=float)
-    eta = X @ beta
-    ll = _log_likelihood(eta, y, weights)
-    last_factor = None
-    for it in range(1, max_iter + 1):
+        columns = tuple(f"x{j}" for j in range(k))
+    beta = np.zeros(k) if start is None else np.array(start, dtype=float)
+
+    def score_and_curvature(eta):
         mu = expit(eta)
         resid = y - mu
-        if weights is not None:
-            resid = resid * weights
-        grad = X.T @ resid
         wvar = mu * (1.0 - mu)
         if weights is not None:
+            resid = resid * weights
             wvar = wvar * weights
-        hess = (X * wvar[:, None]).T @ X
-        try:
-            factor = cho_factor(hess)
-        except np.linalg.LinAlgError:
-            _raise_singular(X, columns, weights)
-        last_factor = factor
-        step = cho_solve(factor, grad)
+        return design.score(resid), wvar
+
+    eta = design.eta(beta)
+    ll = _log_likelihood(eta, y, weights)
+    grad, wvar = score_and_curvature(eta)
+    for it in range(1, max_iter + 1):
+        step = design.solve(design.factor(wvar, columns, weights), grad)
         t = 1.0
         new_beta = beta + step
-        new_eta = X @ new_beta
+        new_eta = design.eta(new_beta)
         new_ll = _log_likelihood(new_eta, y, weights)
         halvings = 0
         while not np.isfinite(new_ll) or new_ll < ll - 1e-12:
@@ -189,36 +203,124 @@ def newton_logit(X: np.ndarray, y: np.ndarray, *, weights: np.ndarray | None = N
             if halvings > 50:
                 break
             new_beta = beta + t * step
-            new_eta = X @ new_beta
+            new_eta = design.eta(new_beta)
             new_ll = _log_likelihood(new_eta, y, weights)
         if halvings > 50:
             # no ascent direction left: either done or pathological
-            if np.abs(grad).max() < _GRAD_TOL:
+            if np.abs(design.contrast_score(grad)).max() < _GRAD_TOL:
                 break
-            _check_separation(beta, columns)
+            _check_separation(design.contrasts(beta), design.contrast_names(columns))
             raise FitError("line search failed before convergence")
         improved = new_ll - ll
         beta, eta, ll = new_beta, new_eta, new_ll
-        mu = expit(eta)
-        resid = y - mu
-        if weights is not None:
-            resid = resid * weights
-        grad = X.T @ resid
-        gmax = float(np.abs(grad).max()) if p else 0.0
+        grad, wvar = score_and_curvature(eta)
+        gmax = float(np.abs(design.contrast_score(grad)).max()) if k else 0.0
         if improved < _LL_TOL and gmax < _GRAD_TOL:
-            wvar = mu * (1.0 - mu)
-            if weights is not None:
-                wvar = wvar * weights
-            hess = (X * wvar[:, None]).T @ X
-            try:
-                factor = cho_factor(hess)
-            except np.linalg.LinAlgError:
-                _raise_singular(X, columns, weights)
-            cov = cho_solve(factor, np.eye(p))
+            cov = design.inverse(design.factor(wvar, columns, weights))
             return beta, cov, ll, it, gmax
         if improved < 1e-6:
-            _check_separation(beta, columns)
+            _check_separation(design.contrasts(beta), design.contrast_names(columns))
     raise FitError(f"no convergence in {max_iter} Newton iterations")
+
+
+class _Design:
+    """The linear predictor of newton_logit: X @ beta, plus one absorbed
+    intercept per group when groups are given.
+
+    With groups, the Hessian is [[A, B], [B', D]] over (X's columns, group
+    effects), D diagonal, so a step solves the Schur complement
+    S = A - B D^-1 B' on X's columns and back-substitutes the group part.
+    The stopping rule and the separation check read the parameters as the
+    equivalent dummy design would: an intercept (the first group's effect),
+    X's coefficients, and one contrast per later group (its effect minus
+    the first's), with the gradient in that parametrisation. Newton steps
+    are affine-invariant, so the iterates are that design's too, up to
+    roundoff, and the fit stops and fails where it would.
+    """
+
+    __slots__ = ("X", "p", "k", "starts", "member")
+
+    def __init__(self, X: np.ndarray, groups: np.ndarray | None):
+        self.X = X
+        self.p = X.shape[1]
+        self.starts = self.member = None
+        if groups is None:
+            self.k = self.p
+            return
+        groups = np.asarray(groups)
+        step = np.diff(groups)
+        if (step < 0).any():
+            raise ValueError("group codes must be nondecreasing")
+        new = np.concatenate([[True], step > 0])
+        self.starts = np.flatnonzero(new)
+        self.member = np.cumsum(new) - 1
+        self.k = self.p + len(self.starts)
+
+    def eta(self, beta: np.ndarray) -> np.ndarray:
+        if self.starts is None:
+            return self.X @ beta
+        return self.X @ beta[:self.p] + beta[self.p:][self.member]
+
+    def score(self, resid: np.ndarray) -> np.ndarray:
+        if self.starts is None:
+            return self.X.T @ resid
+        return np.concatenate([self.X.T @ resid, np.add.reduceat(resid, self.starts)])
+
+    def factor(self, wvar: np.ndarray, columns, weights):
+        X = self.X
+        Xw = X * wvar[:, None]
+        try:
+            if self.starts is None:
+                return cho_factor(Xw.T @ X)
+            d = np.add.reduceat(wvar, self.starts)
+            if not (d > 0).all():
+                raise np.linalg.LinAlgError("group without weight")
+            B = np.add.reduceat(Xw, self.starts, axis=0).T
+            Bd = B / d
+            return cho_factor(Xw.T @ X - Bd @ B.T), Bd, d
+        except np.linalg.LinAlgError:
+            if self.starts is None:
+                _raise_singular(X, columns, weights)
+            dummies = (self.member[:, None] == np.arange(1, len(self.starts))).astype(float)
+            _raise_singular(np.column_stack([np.ones(len(X)), X, dummies]),
+                            self.contrast_names(columns), weights)
+
+    def solve(self, factor, grad: np.ndarray) -> np.ndarray:
+        if self.starts is None:
+            return cho_solve(factor, grad)
+        schur, Bd, d = factor
+        gb, ga = grad[:self.p], grad[self.p:]
+        step_b = cho_solve(schur, gb - Bd @ ga)
+        return np.concatenate([step_b, ga / d - Bd.T @ step_b])
+
+    def inverse(self, factor) -> np.ndarray:
+        if self.starts is None:
+            return cho_solve(factor, np.eye(self.p))
+        schur, Bd, d = factor
+        p = self.p
+        cov = np.empty((self.k, self.k))
+        cov[:p, :p] = cho_solve(schur, np.eye(p))
+        cov[:p, p:] = cross = -cov[:p, :p] @ Bd
+        cov[p:, :p] = cross.T
+        cov[p:, p:] = np.diag(1.0 / d) - Bd.T @ cross
+        return cov
+
+    def contrasts(self, beta: np.ndarray) -> np.ndarray:
+        if self.starts is None:
+            return beta
+        effect = beta[self.p:]
+        return np.concatenate([effect[:1], beta[:self.p], effect[1:] - effect[0]])
+
+    def contrast_score(self, grad: np.ndarray) -> np.ndarray:
+        if self.starts is None:
+            return grad
+        ga = grad[self.p:]
+        return np.concatenate([[ga.sum()], grad[:self.p], ga[1:]])
+
+    def contrast_names(self, columns: Sequence[str]) -> Sequence[str]:
+        if self.starts is None:
+            return columns
+        return ("intercept", *columns[:self.p], *columns[self.p + 1:])
 
 
 def _check_separation(beta: np.ndarray, columns: Sequence[str]) -> None:
@@ -313,13 +415,9 @@ class ReductionEstimate:
     n_failed: int
 
 
-def _reduction_stat(X: np.ndarray, X0: np.ndarray, beta: np.ndarray,
-                    active: np.ndarray | None = None,
+def _reduction_stat(eta: np.ndarray, eta0: np.ndarray,
                     row_weights: np.ndarray | None = None) -> float:
-    if active is not None:
-        X = X[:, active]
-        X0 = X0[:, active]
-    diff = expit(X @ beta) - expit(X0 @ beta)
+    diff = expit(eta) - expit(eta0)
     if row_weights is None:
         return float(diff.mean())
     total = row_weights.sum()
@@ -332,7 +430,7 @@ def reduction_point(model: ContagionModel, xi_column: str = "xi_layer") -> float
     j = frame.columns.index(xi_column)
     X0 = frame.X.copy()
     X0[:, j] = 0.0
-    return _reduction_stat(frame.X, X0, model.beta)
+    return _reduction_stat(frame.X @ model.beta, X0 @ model.beta)
 
 
 def counterfactual_reduction(model: ContagionModel, layer: str, k: int, *,
@@ -343,52 +441,57 @@ def counterfactual_reduction(model: ContagionModel, layer: str, k: int, *,
     with a village-cluster bootstrap percentile interval.
 
     Each replicate resamples villages with replacement (realized as case
-    weights), refits from a warm start, and recomputes the weighted mean
-    drop; replicates that fail to fit are skipped and counted.
+    weights on the rows of the villages drawn), refits from a warm start
+    with the village effects absorbed as groups, and recomputes the
+    weighted mean drop; replicates that fail to fit are skipped and
+    counted.
     """
     if level not in (0.95, 0.99):
         raise DataError("supported interval levels: 0.95, 0.99")
     if n_boot < 1000:
         raise DataError("cluster bootstrap needs at least 1000 replicates")
     frame = model.frame
-    j = frame.columns.index(xi_column)
-    X = frame.X
-    X0 = X.copy()
-    X0[:, j] = 0.0
-    point = _reduction_stat(X, X0, model.beta)
+    point = reduction_point(model, xi_column)
     nv = len(frame.villages)
-    # fixed-effect column index per village (reference has none)
-    fe_col = {v: frame.columns.index(f"village:{frame.villages[v]}")
-              for v in range(1, nv)}
-    present = np.bincount(frame.village_code, minlength=nv) > 0
-    codes = frame.village_code
-    y = frame.y
-    present_ids = np.flatnonzero(present)
+    # the regressors besides the intercept and the village dummies, which
+    # the refits leave to one absorbed effect per village
+    nc = len(frame.columns) - nv
+    j = frame.columns.index(xi_column) - 1
+    if not 0 <= j < nc:
+        raise DataError(f"{xi_column!r} is not a regressor of the model")
+    order = np.argsort(frame.village_code, kind="stable")
+    codes = frame.village_code[order]
+    X = frame.X[order, 1:1 + nc]
+    y = frame.y[order]
+    sizes = np.bincount(codes, minlength=nv)
+    present_ids = np.flatnonzero(sizes)
+    names = frame.columns[1:1 + nc] + tuple(f"village:{v}" for v in frame.villages)
+    # each village's effect in the full fit (village 0 is the reference)
+    effect = model.beta[0] + np.concatenate([[0.0], model.beta[1 + nc:]])
 
     def one_rep(rep: int) -> float | None:
         rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
         draw = rng.choice(present_ids, size=len(present_ids), replace=True)
         w_village = np.bincount(draw, minlength=nv).astype(float)
-        w_row = w_village[codes]
-        active = np.ones(len(frame.columns), dtype=bool)
-        for v, col in fe_col.items():
-            if w_village[v] == 0:
-                active[col] = False
-        if w_village[0] == 0:
-            # reference village absent: the surviving dummies sum to one on
-            # every weighted row, so re-base on the lowest drawn village
-            new_ref = int(np.flatnonzero(w_village)[0])
-            active[fe_col[new_ref]] = False
-        yw = y[w_row > 0]
+        drawn = np.flatnonzero(w_village)
+        rows = w_village[codes] > 0
+        yw = y[rows]
         if not ((yw == 0).any() and (yw == 1).any()):
             return None
+        # warm start from the full fit, as a dummy-design refit with the
+        # lowest drawn village as reference starts: that village takes the
+        # bare intercept, every other drawn village its full-fit effect
+        start = np.concatenate([model.beta[1:1 + nc], effect[drawn]])
+        start[nc] = model.beta[0]
+        Xr, w_row = X[rows], w_village[codes[rows]]
         try:
             beta_r, _, _, _, _ = newton_logit(
-                X[:, active], y, weights=w_row, start=model.beta[active],
-                columns=tuple(np.array(frame.columns)[active]))
+                Xr, yw, weights=w_row, start=start, groups=codes[rows],
+                columns=names[:nc] + tuple(names[nc + v] for v in drawn))
         except (FitError, SeparationError, CollinearityError):
             return None
-        return _reduction_stat(X, X0, beta_r, active=active, row_weights=w_row)
+        eta = Xr @ beta_r[:nc] + np.repeat(beta_r[nc:], sizes[drawn])
+        return _reduction_stat(eta, eta - Xr[:, j] * beta_r[j], row_weights=w_row)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -80,13 +80,14 @@ class MultiplexNetwork:
     distinct directed nomination, sorted by (ego, alter, layer).
     """
 
-    __slots__ = ("n", "registry", "ego", "alter", "layer")
+    __slots__ = ("n", "registry", "ego", "alter", "layer", "_dyad_layers")
 
     def __init__(self, n: int, registry: LayerRegistry, ego: np.ndarray,
                  alter: np.ndarray, layer: np.ndarray):
         self.n = n
         self.registry = registry
         self.ego, self.alter, self.layer = ego, alter, layer
+        self._dyad_layers = None
 
     @property
     def nomination_count(self) -> int:
@@ -94,10 +95,18 @@ class MultiplexNetwork:
 
     def dyad_layers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(u, v, layer) arrays: each layer supporting the undirected dyad
-        {u, v}, u < v, once, sorted by (u, v, layer)."""
-        return _unique_rows(np.minimum(self.ego, self.alter),
-                            np.maximum(self.ego, self.alter), self.layer,
-                            self.n, len(self.registry))
+        {u, v}, u < v, once, sorted by (u, v, layer).
+
+        Computed on the first call and shared by every later one, so the
+        arrays are read-only."""
+        if self._dyad_layers is None:
+            rows = _unique_rows(np.minimum(self.ego, self.alter),
+                                np.maximum(self.ego, self.alter), self.layer,
+                                self.n, len(self.registry))
+            for a in rows:
+                a.flags.writeable = False
+            self._dyad_layers = rows
+        return self._dyad_layers
 
     # -- derived graphs ----------------------------------------------
 

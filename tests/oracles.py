@@ -3,7 +3,8 @@
 Everything here is deliberately naive: plain-Python BFS, exhaustive
 simple-path enumeration, brute-force triple counting, central finite
 differences. Slow but transparently correct on small instances, and
-sharing no code with the package under test.
+sharing no code with the package under test, except that the bootstrap
+oracle refits with the package's dense Newton loop.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ from collections import deque
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import expit
+
+from torquenet import contagion
+from torquenet.errors import CollinearityError, FitError, SeparationError
 
 INF = float("inf")
 
@@ -311,3 +316,74 @@ def logit_2x2_table(n00, n01, n10, n11):
     slope = float(np.log((n11 / n10) / (n01 / n00)))
     se = float(np.sqrt(1.0 / n00 + 1.0 / n01 + 1.0 / n10 + 1.0 / n11))
     return slope, se
+
+
+# -- cluster bootstrap by dense dummy-column refits -------------------
+
+
+def _dense_reduction_stat(X, X0, beta, active=None, row_weights=None):
+    if active is not None:
+        X = X[:, active]
+        X0 = X0[:, active]
+    diff = expit(X @ beta) - expit(X0 @ beta)
+    if row_weights is None:
+        return float(diff.mean())
+    total = row_weights.sum()
+    return float((diff * row_weights).sum() / total)
+
+
+def reduction_by_dense_refit(model, xi_column="xi_layer", n_boot=1000,
+                             level=0.95, seed=0):
+    """(ci_low, ci_high, n_failed) of the village-cluster bootstrap, each
+    replicate refit on the full dummy design: zero case weights for the
+    villages not drawn, their dummy columns masked out, and the design
+    re-based on the lowest drawn village when the reference is not drawn.
+
+    The refits run the package's dense Newton loop (no groups), which the
+    likelihood tests in test_contagion.py pin on their own.
+    """
+    frame = model.frame
+    j = frame.columns.index(xi_column)
+    X = frame.X
+    X0 = X.copy()
+    X0[:, j] = 0.0
+    nv = len(frame.villages)
+    # fixed-effect column index per village (reference has none)
+    fe_col = {v: frame.columns.index(f"village:{frame.villages[v]}")
+              for v in range(1, nv)}
+    present = np.bincount(frame.village_code, minlength=nv) > 0
+    codes = frame.village_code
+    y = frame.y
+    present_ids = np.flatnonzero(present)
+
+    def one_rep(rep):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, rep)))
+        draw = rng.choice(present_ids, size=len(present_ids), replace=True)
+        w_village = np.bincount(draw, minlength=nv).astype(float)
+        w_row = w_village[codes]
+        active = np.ones(len(frame.columns), dtype=bool)
+        for v, col in fe_col.items():
+            if w_village[v] == 0:
+                active[col] = False
+        if w_village[0] == 0:
+            # reference village absent: the surviving dummies sum to one on
+            # every weighted row, so re-base on the lowest drawn village
+            new_ref = int(np.flatnonzero(w_village)[0])
+            active[fe_col[new_ref]] = False
+        yw = y[w_row > 0]
+        if not ((yw == 0).any() and (yw == 1).any()):
+            return None
+        try:
+            beta_r, _, _, _, _ = contagion.newton_logit(
+                X[:, active], y, weights=w_row, start=model.beta[active],
+                columns=tuple(np.array(frame.columns)[active]))
+        except (FitError, SeparationError, CollinearityError):
+            return None
+        return _dense_reduction_stat(X, X0, beta_r, active=active,
+                                     row_weights=w_row)
+
+    results = [one_rep(rep) for rep in range(n_boot)]
+    stats = np.array([r for r in results if r is not None])
+    tail = 100.0 * (1.0 - level) / 2.0
+    ci_low, ci_high = np.percentile(stats, [tail, 100.0 - tail])
+    return float(ci_low), float(ci_high), n_boot - len(stats)

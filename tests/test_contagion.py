@@ -1,6 +1,7 @@
 """Stacked logistic estimation, bootstrap intervals, and identities."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -9,11 +10,15 @@ from scipy.special import expit
 
 import oracles
 from torquenet import (CollinearityError, ContagionModel, DataError,
-                       PredictionError, ReductionEstimate, SeparationError,
-                       build_frame, check_collinearity, contagion_screen,
-                       counterfactual_reduction, fit, fit_frame,
-                       newton_logit, reduction_point)
-from torquenet.contagion import _log_likelihood
+                       PathwayAnalyzer, PathwayConfig, PredictionError,
+                       ReductionEstimate, SeparationError, build_frame,
+                       build_villages, check_collinearity, contagion_screen,
+                       counterfactual_reduction, exposure_table, fit,
+                       fit_frame, newton_logit, reduction_point)
+from torquenet import contagion
+from torquenet.contagion import RegressionFrame, _log_likelihood
+from torquenet.io import parse_scenario
+from torquenet.pathways import EXPOSURE_FIELDS
 
 from helpers import quick_panel
 
@@ -320,6 +325,188 @@ def test_wider_interval_at_higher_level():
                                   level=0.99)
     assert hi.ci_low <= lo.ci_low
     assert hi.ci_high >= lo.ci_high
+
+
+# README scenario: 30 villages of 70-90 nodes. About a third of the
+# replicates do not draw the reference village v000.
+SCENARIO = """
+[villages]
+count = 30
+size_min = 70
+size_max = 90
+household_mean = 2.2
+household_sd = 1.0
+
+[layers]
+drop = personal_private, patron
+friend_closest_friend = 2, 0.3
+chain_borrow_money = 0.5, 1
+
+[intervention]
+fraction = 0.3
+strategy = random
+
+[topics]
+names = story
+
+[diffusion]
+rounds = 3
+baseline_rate = 0.12
+forget = 0.05
+
+[diffusion:story]
+closest_friend = 0.6
+
+[estimation]
+k = 2
+"""
+
+# 8 small villages with torque-guided seeding and a second, weakly
+# spreading topic: at baseline_rate 0.05 most replicates of the rumor
+# models end in SeparationError, at 0.12 a few do.
+FAILURE_SCENARIO = (SCENARIO.replace("count = 30", "count = 8")
+                    .replace("size_min = 70", "size_min = 30")
+                    .replace("size_max = 90", "size_max = 40")
+                    .replace("strategy = random", "strategy = torque")
+                    .replace("names = story", "names = story, rumor")
+                    + "\n[diffusion:rumor]\nfree_time = 0.15\n")
+
+
+def _scenario_models(tmp_path, text, seed, topic, layers):
+    """Fitted per-layer models of one topic of a simulated scenario."""
+    path = tmp_path / "scenario.ini"
+    path.write_text(text)
+    config = parse_scenario(str(path))
+    nets, panels = build_villages(config, seed=seed)
+    registry = next(iter(nets.values())).registry
+    cfgs = [PathwayConfig(layer=registry.id_of(name), k=config.k)
+            for name in layers]
+    cols = [{name: {} for name in EXPOSURE_FIELDS + ("treated",)}
+            for _ in layers]
+    for key in sorted(nets):
+        analyzer = PathwayAnalyzer(nets[key], kmax=config.k,
+                                   validated=panels[key].validated(topic))
+        tables = exposure_table(nets[key], panels[key], cfgs, topic,
+                                analyzer=analyzer)
+        for col, (_, records) in zip(cols, tables):
+            for name in EXPOSURE_FIELDS:
+                col[name][key] = records[name]
+            col["treated"][key] = panels[key].treated[topic]
+    return [fit_frame(build_frame(panels, topic, col), topic) for col in cols]
+
+
+def _small_regressor_model(seed=0, n_villages=20, n=60, intercept=-1.0,
+                           spread=0.3):
+    """Fitted model on two small regressors and per-village shifts. Without
+    large covariates the intercept's gradient, the sum of the village
+    gradients, often dominates the gradient max-norm."""
+    rng = np.random.default_rng(seed)
+    codes = np.repeat(np.arange(n_villages), n)
+    xi = rng.poisson(0.8, len(codes)).astype(float)
+    k1 = (rng.random(len(codes)) < 0.3).astype(float)
+    shift = rng.normal(0.0, spread, n_villages)
+    y = (rng.random(len(codes))
+         < expit(intercept + 0.8 * k1 + 0.5 * xi + shift[codes])).astype(float)
+    villages = tuple(f"v{i:02d}" for i in range(n_villages))
+    dummies = (codes[:, None] == np.arange(1, n_villages)).astype(float)
+    frame = RegressionFrame(
+        y=y, X=np.column_stack([np.ones(len(codes)), k1, xi, dummies]),
+        columns=(("intercept", "k_w1", "xi_layer")
+                 + tuple(f"village:{v}" for v in villages[1:])),
+        villages=villages, village_code=codes,
+        rows=tuple((villages[c], i) for i, c in enumerate(codes)),
+        n_dropped=0)
+    return fit_frame(frame, "t")
+
+
+def _to_dummy_parameters(n_core, n_groups):
+    """Linear map from (core, one effect per group) to the dummy design's
+    (intercept, core, one contrast per later group)."""
+    T = np.zeros((n_core + n_groups, n_core + n_groups))
+    T[0, n_core] = 1.0
+    T[1:1 + n_core, :n_core] = np.eye(n_core)
+    T[1 + n_core:, n_core + 1:] = np.eye(n_groups - 1)
+    T[1 + n_core:, n_core] = -1.0
+    return T
+
+
+def test_absorbed_groups_match_dummy_design(monkeypatch):
+    # the stopping rule reads the dummy design's gradient, so the absorbed
+    # fit stops at the same iteration for any tolerance, also where the
+    # intercept's gradient is the largest component
+    frame = _small_regressor_model().frame
+    X, y, codes = frame.X[:, 1:3], frame.y, frame.village_code
+    case_weights = np.random.default_rng(7).integers(1, 4, len(y)).astype(float)
+    names = ("k_w1", "xi_layer") + tuple(f"village:{v}" for v in frame.villages)
+    T = _to_dummy_parameters(2, len(frame.villages))
+    for grad_tol, weights in itertools.product(
+            (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8), (None, case_weights)):
+        monkeypatch.setattr(contagion, "_GRAD_TOL", grad_tol)
+        monkeypatch.setattr(contagion, "_LL_TOL", 1e-10 if grad_tol == 1e-8 else 1.0)
+        dense = newton_logit(frame.X, y, weights=weights, columns=frame.columns)
+        absorbed = newton_logit(X, y, weights=weights, groups=codes,
+                                columns=names)
+        assert absorbed[3] == dense[3]
+        np.testing.assert_allclose(T @ absorbed[0], dense[0], rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(T @ absorbed[1] @ T.T, dense[1], rtol=1e-8, atol=1e-12)
+        assert absorbed[2] == pytest.approx(dense[2], rel=1e-12)
+
+
+def test_absorbed_group_without_weight_is_collinear():
+    frame = _small_regressor_model(n_villages=4, n=30).frame
+    weights = (frame.village_code != 2).astype(float)
+    names = ("k_w1", "xi_layer") + tuple(f"village:{v}" for v in frame.villages)
+    with pytest.raises(CollinearityError, match="village:v02"):
+        newton_logit(frame.X[:, 1:3], frame.y, weights=weights,
+                     groups=frame.village_code, columns=names)
+    with pytest.raises(ValueError):
+        newton_logit(frame.X[:, 1:3], frame.y, groups=frame.village_code[::-1])
+
+
+ORACLE_FIXTURES = {
+    "village30": lambda tmp: (
+        _scenario_models(tmp, SCENARIO, 1, "story", ("closest_friend",)), 1),
+    "separation_heavy": lambda tmp: (_scenario_models(
+        tmp, FAILURE_SCENARIO.replace("baseline_rate = 0.12",
+                                      "baseline_rate = 0.05"),
+        4, "rumor", ("parent", "free_time", "health_advice_get")), 4),
+    "few_failures": lambda tmp: (_scenario_models(
+        tmp, FAILURE_SCENARIO, 4, "rumor",
+        ("sibling", "free_time", "lend_money")), 4),
+}
+
+
+@pytest.mark.parametrize("fixture", list(ORACLE_FIXTURES))
+def test_bootstrap_matches_dense_refit_oracle(tmp_path, monkeypatch, fixture):
+    # the absorbed-effect refits take the dense design's Newton iterates,
+    # so each replicate stops after as many iterations, or fails with the
+    # same error naming the same regressor, and lands where it does
+    outcomes = []
+    refit = contagion.newton_logit
+
+    def recording_refit(*args, **kwargs):
+        try:
+            result = refit(*args, **kwargs)
+        except Exception as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+            raise
+        outcomes.append(("converged", result[3]))
+        return result
+
+    monkeypatch.setattr(contagion, "newton_logit", recording_refit)
+    models, seed = ORACLE_FIXTURES[fixture](tmp_path)
+    for model in models:
+        for boot_seed in (seed, seed + 1):
+            outcomes.clear()
+            est = counterfactual_reduction(model, "layer", 2, seed=boot_seed)
+            absorbed = list(outcomes)
+            outcomes.clear()
+            low, high, n_failed = oracles.reduction_by_dense_refit(
+                model, seed=boot_seed)
+            assert absorbed == outcomes
+            assert est.n_failed == n_failed
+            assert abs(est.ci_low - low) < 1e-12
+            assert abs(est.ci_high - high) < 1e-12
 
 
 # -- screening -------------------------------------------------------

@@ -121,6 +121,17 @@ def test_dyad_layers_match_support_on_random_instances():
             sum(t[2] == layer for t in triples) for layer in range(n_layers)]
 
 
+def test_dyad_layers_computed_once_and_read_only():
+    net = network_from_triples([(0, 1, 0), (1, 0, 1), (2, 1, 0)], 3, 2)
+    first, second = net.dyad_layers(), net.dyad_layers()
+    assert all(a is b for a, b in zip(first, second))
+    for a in first:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 2
+    assert [a.tolist() for a in second] == [[0, 0, 1], [1, 1, 2], [0, 1, 0]]
+
+
 def test_layer_counts():
     net = network_from_triples(
         [(0, 1, 0), (1, 0, 0), (1, 2, 0), (0, 1, 1)], 3, 2)

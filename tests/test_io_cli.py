@@ -18,6 +18,7 @@ from torquenet import (ChainLayerSpec, ConfigError, DataError,
 import torquenet
 from torquenet import io as tio
 from torquenet.cli import THREADS_ENV, main
+from torquenet.graph import MultiplexNetwork
 
 from helpers import triples_of
 from test_acceptance import STABLE_SCENARIO
@@ -402,6 +403,24 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_metrics_bytes_do_not_depend_on_cached_dyads(sim_files, tmp_path,
+                                                        capsys, monkeypatch):
+    edges = sim_files[0]
+    argv = ["metrics", "--edges", edges, "--format", "json",
+            "--out-dir", str(tmp_path)]
+    _, cached, _ = _run(capsys, argv)
+    derive = MultiplexNetwork.dyad_layers
+
+    def derive_every_call(net):
+        net._dyad_layers = None
+        return derive(net)
+
+    monkeypatch.setattr(MultiplexNetwork, "dyad_layers", derive_every_call)
+    _, fresh, _ = _run(capsys, argv)
+    assert cached == fresh
+    assert json.loads(cached)["command"] == "metrics"
 
 
 def test_cli_metrics_and_torque(sim_files, tmp_path, capsys):
