@@ -362,13 +362,12 @@ def cmd_fit(args) -> int:
     frame = build_frame(panels, args.topic, cols)
     model = fit_frame(frame, args.topic)
     if args.dump_design:
-        design_rows = []
-        for (village, node), y, xrow in zip(frame.rows, frame.y, frame.X):
-            design_rows.append([village, panels[village].nodes[node],
-                                tio.fmt_value(y)]
-                               + [tio.fmt_value(v) for v in xrow])
+        columns = [[village for village, _ in frame.rows],
+                   [panels[village].nodes[node] for village, node in frame.rows],
+                   tio.fmt_column(frame.y)]
+        columns += map(tio.fmt_column, frame.X.T)
         tio.atomic_write_text(args.dump_design, tio.render_csv(
-            ["village", "node", "y"] + list(frame.columns), design_rows))
+            ["village", "node", "y"] + list(frame.columns), zip(*columns)))
     fractions = ("coefficient", "std_error", "z", "p_value")
     terms = []
     for j, name in enumerate(frame.columns):

@@ -8,17 +8,26 @@ File contracts:
                   treated_<topic>,k_w1_<topic>,k_w3_<topic> triples
   exposure CSV    village,node,layer,k,mode,direction,xi_L,xi_notL,N_k
 
-Empty cells are missing values. All writers are atomic (write to a
-temporary file in the target directory, then rename) and deterministic:
-rows are sorted by village, then layer or node; fractions use fixed
-6-decimal formatting; JSON payloads carry schema_version, sorted keys,
-and floats rounded to 12 decimals.
+Empty cells are missing values; numeric text that float() rejects or
+that is not finite ("nan", "inf", "1e400") is an IngestError. Ids, village
+and layer names are exact strings. The loaders read a file column by
+column: each column is dictionary-encoded (distinct cells plus an int64
+code per record), every check runs on the code arrays, and the first
+offending record decides the error, as a row-by-row reading would.
+
+All writers are atomic (write to a temporary file in the target
+directory, then rename) and deterministic: rows are sorted by village,
+then layer or node; fractions use fixed 6-decimal formatting, other
+numbers fmt_value's minimal lossless text (fmt_column formats a whole
+column at once); JSON payloads carry schema_version, sorted keys, and
+floats rounded to 12 decimals.
 """
 
 from __future__ import annotations
 
 import configparser
 import csv
+import itertools
 import json
 import math
 import os
@@ -75,7 +84,32 @@ def _non_utf8_line(path: str) -> int | None:
     return None
 
 
-def _read_csv_rows(path: str, expected_header: list[str] | None = None):
+class _CodeTable(dict):
+    """Distinct cell -> code; a new cell gets the next code on lookup."""
+
+    def __missing__(self, cell: str) -> int:
+        self[cell] = code = len(self)
+        return code
+
+
+# records decoded per step: few enough that a step's row lists are freed
+# before they fill the cyclic collector's youngest generation (700 objects)
+_CHUNK = 256
+
+
+def _read_columns(path: str, expected_header: list[str] | None = None):
+    """Read a CSV file into (header, columns, ragged).
+
+    Each column is dictionary-encoded as (codes, table): table maps each
+    distinct cell to its code, in order of first appearance, and codes (an
+    int64 array) holds the code of every record's cell. So a repeated id
+    is one string, and no object per record survives the read. The
+    columns cover the records before the first one whose field count
+    differs from the header's. ragged is the error that record raises, or
+    None. It is returned, not raised, so that the caller can check the
+    records before it first: the earliest offending record decides the
+    error. Records are numbered as lines from 2 (the header is line 1).
+    """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -88,7 +122,24 @@ def _read_csv_rows(path: str, expected_header: list[str] | None = None):
                 raise IngestError(
                     f"{path}: bad header {','.join(header)!r}; "
                     f"expected {','.join(expected_header)!r}")
-            rows = [(lineno, row) for lineno, row in enumerate(reader, start=2)]
+            width = len(header)
+            codes: list[list[int]] = [[] for _ in header]
+            tables = [_CodeTable() for _ in header]
+            ragged = None
+            lineno = 2  # of the first record of the chunk
+            while chunk := list(itertools.islice(reader, _CHUNK)):
+                if any(len(row) != width for row in chunk):
+                    k = next(k for k, row in enumerate(chunk) if len(row) != width)
+                    ragged = IngestError(f"expected {width} fields, got {len(chunk[k])}",
+                                         line=lineno + k)
+                    del chunk[k:]
+                for col, table, cells in zip(codes, tables, zip(*chunk)):
+                    col.extend(map(table.__getitem__, cells))
+                if ragged is not None:
+                    for _ in reader:  # a read error further on comes first
+                        pass
+                    break
+                lineno += len(chunk)
         except StopIteration:
             raise IngestError(f"{path}: empty file, expected a header row") from None
         except UnicodeDecodeError as exc:
@@ -96,7 +147,25 @@ def _read_csv_rows(path: str, expected_header: list[str] | None = None):
                               line=_non_utf8_line(path)) from None
         except csv.Error as exc:
             raise IngestError(f"{path}: {exc}", line=reader.line_num) from None
-    return header, rows
+    columns = [(np.array(col, dtype=np.int64), table)
+               for col, table in zip(codes, tables)]
+    return header, columns, ragged
+
+
+def _empty_cells(columns) -> np.ndarray:
+    """Per record: is any of these dictionary-encoded cells empty?"""
+    empty = np.zeros(len(columns[0][0]), dtype=bool)
+    for codes, table in columns:
+        if "" in table:
+            empty |= codes == table[""]
+    return empty
+
+
+def _sort_rank(names: list[str]) -> np.ndarray:
+    """Position of each of these distinct strings in sorted() order."""
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    return rank
 
 
 def load_edges(path: str, registry: LayerRegistry | None = None,
@@ -108,77 +177,130 @@ def load_edges(path: str, registry: LayerRegistry | None = None,
     attribute-only isolates get network slots); otherwise nodes are the
     ids appearing in the file, sorted.
     """
-    _, rows = _read_csv_rows(path, EDGE_HEADER)
-    raw: dict[str, list[tuple[int, str, str, str]]] = {}
-    layer_lines: dict[str, int] = {}  # layer name -> first line naming it
-    for lineno, row in rows:
-        if len(row) != 4:
-            raise IngestError(f"expected 4 fields, got {len(row)}", line=lineno)
-        village, ego, alter, layer = row
-        if not village or not ego or not alter or not layer:
-            raise IngestError("empty field", line=lineno)
-        if ego == alter:
-            raise IngestError(f"self-nomination by {ego!r}", line=lineno)
-        raw.setdefault(village, []).append((lineno, ego, alter, layer))
-        layer_lines.setdefault(layer, lineno)
+    _, columns, ragged = _read_columns(path, EDGE_HEADER)
+    (village, villages_seen), (ego, ids), (alter, alter_ids), (layer, layers_seen) = columns
+    n_rows = len(village)
+    # ego and alter ids share one code space; the strings are exact keys,
+    # so ids that differ only in trailing NULs stay apart
+    alter = np.array([ids.setdefault(name, len(ids)) for name in alter_ids],
+                     dtype=np.int64)[alter]
+    id_names = list(ids)
+    empty = _empty_cells(columns)
+    bad = empty | (ego == alter)
+    if bad.any():
+        row = int(np.argmax(bad))
+        if empty[row]:
+            raise IngestError("empty field", line=row + 2)
+        raise IngestError(f"self-nomination by {id_names[ego[row]]!r}", line=row + 2)
+    if ragged is not None:
+        raise ragged
+    layer_names = list(layers_seen)  # in order of first appearance
     if registry is None:
-        registry = LayerRegistry(tuple(sorted(layer_lines)))
+        registry = LayerRegistry(tuple(sorted(layer_names)))
     else:
-        unknown = set(layer_lines) - set(registry.names)
+        unknown = [name for name in layer_names if name not in registry]
         if unknown:
+            first_row = int(np.argmax(layer == layers_seen[unknown[0]]))
             raise UnknownLayerError(
                 f"unknown layers in {path}: {', '.join(sorted(unknown))}",
-                line=min(layer_lines[name] for name in unknown))
-    layer_ids = {name: registry.id_of(name) for name in layer_lines}
+                line=first_row + 2)
+    layer = np.array([registry.id_of(name) for name in layer_names],
+                     dtype=np.int64)[layer]
     if node_universe is not None:
-        missing = set(raw) - set(node_universe)
+        missing = set(villages_seen) - set(node_universe)
         if missing:
             raise DataError(
                 f"edge villages missing from attributes: {sorted(missing)}")
+    # the rows of village code c are order[starts[c]:starts[c + 1]], in file order
+    order = np.argsort(village, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(np.bincount(
+        village, minlength=len(villages_seen)))))
+    local = np.empty(len(ids), dtype=np.int64)  # id code -> node index
     networks: dict[str, MultiplexNetwork] = {}
     node_ids: dict[str, tuple[str, ...]] = {}
-    villages = sorted(raw) if node_universe is None else sorted(node_universe)
+    villages = sorted(villages_seen) if node_universe is None else sorted(node_universe)
     duplicates = 0
-    for village in villages:
-        vrows = raw.get(village, [])
+    for name in villages:
+        code = villages_seen.get(name)
+        rows = order[starts[code]:starts[code + 1]] if code is not None else order[:0]
+        vego, valter = ego[rows], alter[rows]
+        present = np.unique(np.concatenate((vego, valter))).tolist()
         if node_universe is None:
-            names = sorted({r[1] for r in vrows} | {r[2] for r in vrows})
+            present.sort(key=id_names.__getitem__)
+            names = [id_names[c] for c in present]
+            local[present] = np.arange(len(present))
         else:
-            names = list(node_universe[village])
-        index = {name: i for i, name in enumerate(names)}
-        try:
-            ego = np.fromiter((index[r[1]] for r in vrows), np.int64, len(vrows))
-            alter = np.fromiter((index[r[2]] for r in vrows), np.int64, len(vrows))
-        except KeyError:
-            lineno, missing_node = next((r[0], name) for r in vrows
-                                        for name in r[1:3] if name not in index)
+            names = list(node_universe[name])
+            index = {node: i for i, node in enumerate(names)}
+            local[present] = [index.get(id_names[c], -1) for c in present]
+        vego, valter = local[vego], local[valter]
+        unmatched = (vego < 0) | (valter < 0)
+        if unmatched.any():
+            i = int(np.argmax(unmatched))
+            node = ego[rows[i]] if vego[i] < 0 else alter[rows[i]]
             raise DataError(
-                f"line {lineno}: node {missing_node!r} has no attribute row "
-                f"in village {village!r}") from None
-        layer = np.fromiter((layer_ids[r[3]] for r in vrows), np.int64, len(vrows))
-        net = build_network(ego, alter, layer, len(names), registry)
-        duplicates += len(vrows) - net.nomination_count
-        networks[village] = net
-        node_ids[village] = tuple(names)
+                f"line {rows[i] + 2}: node {id_names[node]!r} has no attribute row "
+                f"in village {name!r}")
+        net = build_network(vego, valter, layer[rows], len(names), registry)
+        duplicates += len(rows) - net.nomination_count
+        networks[name] = net
+        node_ids[name] = tuple(names)
     return EdgeData(
         networks=networks, node_ids=node_ids, registry=registry,
-        report=IngestReport(rows_read=len(rows), duplicates_collapsed=duplicates,
+        report=IngestReport(rows_read=n_rows, duplicates_collapsed=duplicates,
                             villages=tuple(villages)),
     )
 
 
 def _parse_cell(raw: str, column: str, lineno: int) -> float:
+    """float(raw), NaN for an empty cell; any other text that does not
+    parse to a finite number is an IngestError."""
     if raw == "":
         return math.nan
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise IngestError(f"bad numeric value {raw!r} in {column}", line=lineno) from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise IngestError(f"bad numeric value {raw!r} in {column}", line=lineno)
+    return value
+
+
+def _parse_column(codes: np.ndarray, table: dict[str, int]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(values, bad) of a dictionary-encoded column: _parse_cell of each
+    cell, with NaN and a True in bad where it raises. Each distinct cell
+    is parsed once."""
+    values = np.empty(len(table))
+    bad = np.zeros(len(table), dtype=bool)
+    for i, raw in enumerate(table):
+        try:
+            values[i] = _parse_cell(raw, "", 0)
+        except IngestError:
+            values[i], bad[i] = math.nan, True
+    return values[codes], bad[codes]
+
+
+def _check_attribute_row(header: list[str], cells: list[str],
+                         topics: dict[str, dict[str, int]], lineno: int) -> None:
+    """Raise the error of the first check that one attribute row fails."""
+    values = {name: _parse_cell(cells[pos], name, lineno)
+              for pos, name in enumerate(ATTR_BASE_HEADER[2:], start=2)}
+    if math.isnan(values["household"]):
+        raise IngestError("missing household id", line=lineno)
+    inc = values["income"]
+    if not math.isnan(inc) and inc not in (1.0, 2.0, 3.0, 4.0):
+        raise DataError(f"line {lineno}: income {inc:g} outside 1..4")
+    for topic in sorted(topics):
+        parsed = {fname: _parse_cell(cells[pos], header[pos], lineno)
+                  for fname, pos in topics[topic].items()}
+        if math.isnan(parsed["treated"]):
+            raise IngestError(f"missing treated flag for topic {topic!r}", line=lineno)
 
 
 def load_attributes(path: str) -> dict[str, VillagePanel]:
     """Read per-node attributes; topics are inferred from the header."""
-    header, rows = _read_csv_rows(path)
+    header, columns, ragged = _read_columns(path)
     if header[:len(ATTR_BASE_HEADER)] != ATTR_BASE_HEADER:
         raise IngestError(
             f"{path}: header must start with {','.join(ATTR_BASE_HEADER)!r}")
@@ -196,58 +318,56 @@ def load_attributes(path: str) -> dict[str, VillagePanel]:
         if lacking:
             raise DataError(
                 f"{path}: topic {topic!r} missing columns: {sorted(lacking)}")
-    by_village: dict[str, list[tuple[int, list[str]]]] = {}
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise IngestError(f"expected {len(header)} fields, got {len(row)}",
-                              line=lineno)
-        if not row[0] or not row[1]:
-            raise IngestError("empty village or node id", line=lineno)
-        by_village.setdefault(row[0], []).append((lineno, row))
-    panels: dict[str, VillagePanel] = {}
+    no_id = _empty_cells(columns[:2])
+    if no_id.any():
+        raise IngestError("empty village or node id", line=int(np.argmax(no_id)) + 2)
+    if ragged is not None:
+        raise ragged
+    (village, village_table), (node, node_table) = columns[:2]
+    village_names, node_names = list(village_table), list(node_table)
+    # rows by village, then node id; the stable sort keeps file order among
+    # repeated ids
+    order = np.lexsort((_sort_rank(node_names)[node], _sort_rank(village_names)[village]))
+    village, node = village[order], node[order]
+    duplicate = np.zeros(len(order), dtype=bool)
+    duplicate[1:] = (village[1:] == village[:-1]) & (node[1:] == node[:-1])
+    # every column a row is checked on, by header position; a column that a
+    # later one of the same name shadows is neither checked nor read
+    used = list(range(2, len(ATTR_BASE_HEADER))) + sorted(
+        pos for cols in topics.values() for pos in cols.values())
+    values: dict[int, np.ndarray] = {}
+    failing = np.zeros(len(order), dtype=bool)
+    for pos in used:
+        values[pos], bad = _parse_column(columns[pos][0][order], columns[pos][1])
+        failing |= bad
+    base = {name: values[pos] for pos, name in enumerate(ATTR_BASE_HEADER) if pos >= 2}
+    failing |= np.isnan(base["household"])
+    failing |= np.isfinite(base["income"]) & ~np.isin(base["income"], (1.0, 2.0, 3.0, 4.0))
+    for cols in topics.values():
+        failing |= np.isnan(values[cols["treated"]])
     topic_names = tuple(sorted(topics))
-    for village in sorted(by_village):
-        vrows = sorted(by_village[village], key=lambda r: r[1][1])
-        seen = set()
-        for lineno, row in vrows:
-            if row[1] in seen:
-                raise IngestError(f"duplicate node id {row[1]!r}", line=lineno)
-            seen.add(row[1])
-        n = len(vrows)
-        cols: dict[str, np.ndarray] = {
-            name: np.full(n, np.nan) for name in ATTR_BASE_HEADER[2:]}
-        tcols = {t: {f: np.full(n, np.nan) for f in ("treated", "k_w1", "k_w3")}
-                 for t in topic_names}
-        nodes = []
-        for i, (lineno, row) in enumerate(vrows):
-            nodes.append(row[1])
-            for j, name in enumerate(ATTR_BASE_HEADER[2:], start=2):
-                cols[name][i] = _parse_cell(row[j], name, lineno)
-            if not math.isfinite(cols["household"][i]):
-                raise IngestError("missing household id", line=lineno)
-            inc = cols["income"][i]
-            if math.isfinite(inc) and inc not in (1.0, 2.0, 3.0, 4.0):
-                raise DataError(f"line {lineno}: income {inc:g} outside 1..4")
-            for topic in topic_names:
-                for fname, pos in topics[topic].items():
-                    tcols[topic][fname][i] = _parse_cell(row[pos], header[pos], lineno)
-                if not math.isfinite(tcols[topic]["treated"][i]):
-                    raise IngestError(f"missing treated flag for topic {topic!r}",
-                                      line=lineno)
-        panels[village] = VillagePanel(
-            village=village,
-            nodes=tuple(nodes),
-            household=cols["household"].astype(np.int64),
-            sociability=cols["sociability"],
-            age=cols["age"],
-            gender=cols["gender"],
-            education=cols["education"],
-            income=cols["income"],
-            self_health=cols["self_health"],
+    panels: dict[str, VillagePanel] = {}
+    starts = np.flatnonzero(np.diff(village, prepend=-1)).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(order)]):
+        if duplicate[lo:hi].any():
+            j = lo + int(np.argmax(duplicate[lo:hi]))
+            raise IngestError(f"duplicate node id {node_names[node[j]]!r}",
+                              line=int(order[j]) + 2)
+        if failing[lo:hi].any():
+            i = int(order[lo + np.argmax(failing[lo:hi])])
+            cells = [list(table)[codes[i]] for codes, table in columns]
+            _check_attribute_row(header, cells, topics, i + 2)
+        vname = village_names[village[lo]]
+        panels[vname] = VillagePanel(
+            village=vname,
+            nodes=tuple(node_names[c] for c in node[lo:hi].tolist()),
+            household=base["household"][lo:hi].astype(np.int64),
+            **{name: base[name][lo:hi] for name in COVARIATE_NAMES},
             topics=topic_names,
-            treated={t: tcols[t]["treated"].astype(np.int8) for t in topic_names},
-            k_w1={t: tcols[t]["k_w1"] for t in topic_names},
-            k_w3={t: tcols[t]["k_w3"] for t in topic_names},
+            treated={t: values[topics[t]["treated"]][lo:hi].astype(np.int8)
+                     for t in topic_names},
+            k_w1={t: values[topics[t]["k_w1"]][lo:hi] for t in topic_names},
+            k_w3={t: values[topics[t]["k_w3"]][lo:hi] for t in topic_names},
         )
     return panels
 
@@ -273,7 +393,10 @@ def fmt_fraction(x: float) -> str:
 
 
 def fmt_value(x) -> str:
-    """Minimal lossless cell formatting: ints exact, floats via repr."""
+    """Minimal lossless cell formatting: ints exact, floats via repr.
+
+    NaN and None are empty cells; an infinite value is a DataError, since
+    the file contracts have no text for it."""
     if x is None:
         return ""
     if isinstance(x, str):
@@ -283,9 +406,23 @@ def fmt_value(x) -> str:
     xf = float(x)
     if math.isnan(xf):
         return ""
+    if math.isinf(xf):
+        raise DataError(f"cannot write the non-finite value {xf!r}")
     if xf == int(xf) and abs(xf) < 1e15:
         return str(int(xf))
     return repr(xf)
+
+
+def fmt_column(values) -> list[str]:
+    """[fmt_value(x) for x in values] for a numeric array or sequence.
+
+    Each distinct value is formatted once, so the cells of one value share
+    one string: integral values below 1e15 in magnitude as ints, NaN as an
+    empty cell, any other value through repr."""
+    distinct, inverse = np.unique(np.asarray(values, dtype=np.float64).reshape(-1),
+                                  return_inverse=True)
+    cells = np.array([fmt_value(x) for x in distinct.tolist()], dtype=object)
+    return cells[inverse].tolist()
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -362,19 +499,15 @@ def write_attributes_csv(path: str, panels: Mapping[str, VillagePanel]) -> None:
     rows = []
     for village in sorted(panels):
         panel = panels[village]
-        for i, node in enumerate(panel.nodes):
-            row = [village, node, fmt_value(panel.household[i])]
-            row += [fmt_value(getattr(panel, name)[i]) for name in COVARIATE_NAMES]
-            for t in topics:
-                if t in panel.topics:
-                    row += [
-                        fmt_value(panel.treated[t][i]),
-                        fmt_value(panel.k_w1[t][i]),
-                        fmt_value(panel.k_w3[t][i]),
-                    ]
-                else:
-                    row += ["", "", ""]
-            rows.append(row)
+        columns = [[village] * panel.n, panel.nodes, fmt_column(panel.household)]
+        columns += [fmt_column(getattr(panel, name)) for name in COVARIATE_NAMES]
+        for t in topics:
+            if t in panel.topics:
+                columns += [fmt_column(panel.treated[t]), fmt_column(panel.k_w1[t]),
+                            fmt_column(panel.k_w3[t])]
+            else:
+                columns += [[""] * panel.n] * 3
+        rows += zip(*columns)
     atomic_write_text(path, render_csv(header, rows))
 
 

@@ -10,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from torquenet import (ChainLayerSpec, ConfigError, DataError,
                        DiffusionConfig, Direction, ExperimentConfig,
@@ -20,7 +22,7 @@ from torquenet import io as tio
 from torquenet.cli import THREADS_ENV, main
 from torquenet.graph import MultiplexNetwork
 
-from helpers import triples_of
+from helpers import quick_panel, triples_of
 from test_acceptance import STABLE_SCENARIO
 
 
@@ -280,6 +282,41 @@ def test_fraction_and_value_formatting():
     assert tio.fmt_value(float("nan")) == ""
     assert tio.fmt_value(np.bool_(True)) == "1"
     assert tio.fmt_value("kept") == "kept"
+
+
+# values at the edges of fmt_value's cases: NaN, signed zeros, the 1e15
+# cut-off, a float64 that is not an exact int64, and extreme magnitudes
+EDGE_VALUES = [math.nan, 0.0, -0.0, 1e15 - 1, -(1e15 - 1), 1e15, -1e15,
+               2.0 ** 53 + 1, 5e-324, 1e300, -1e300, 0.1, 2.5, -7.0]
+
+
+@given(st.lists(st.one_of(st.floats(allow_infinity=False),
+                          st.sampled_from(EDGE_VALUES)), max_size=40))
+def test_fmt_column_matches_fmt_value_on_floats(values):
+    assert tio.fmt_column(np.array(values, dtype=float)) == \
+        [tio.fmt_value(x) for x in values]
+
+
+@given(st.lists(st.one_of(st.integers(-2**63, 2**63 - 1),
+                          st.sampled_from([2**53 + 1, 10**15 - 1, 10**15, -10**15])),
+                max_size=40))
+def test_fmt_column_matches_fmt_value_on_ints(values):
+    arr = np.array(values, dtype=np.int64)
+    assert tio.fmt_column(arr) == [tio.fmt_value(x) for x in arr]
+    assert tio.fmt_column(arr > 0) == [tio.fmt_value(x) for x in arr > 0]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_infinite_values_are_a_data_error(tmp_path, value):
+    with pytest.raises(DataError, match="non-finite"):
+        tio.fmt_value(value)
+    with pytest.raises(DataError, match="non-finite"):
+        tio.fmt_column(np.array([1.0, value]))
+    panel = quick_panel(4)
+    panel.age[2] = value
+    with pytest.raises(DataError, match="non-finite"):
+        tio.write_attributes_csv(str(tmp_path / "a.csv"), {"v0": panel})
+    assert not (tmp_path / "a.csv").exists()
 
 
 def test_atomic_write_replaces_and_leaves_no_debris(tmp_path):
